@@ -31,6 +31,9 @@ class DFG:
         self.name = name
         self._nodes: Dict[str, Node] = {}
         self._op_counters: Counter = Counter()
+        # Consumers per node, built on first use and dropped on every
+        # write to ``_nodes``.
+        self._successor_index: Dict[str, List[str]] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -67,6 +70,7 @@ class DFG:
                 raise NodeNotFoundError(f"operand {operand!r} of node {name!r} does not exist")
         node = Node(name=name, op=op, inputs=inputs, value=value, label=label)
         self._nodes[name] = node
+        self._successor_index = None
         return name
 
     # convenience constructors ------------------------------------------------
@@ -149,6 +153,7 @@ class DFG:
         # Temporarily self-referential; must be re-wired via connect_delay.
         node = Node(name=name, op=OpType.DELAY, inputs=(name,))
         self._nodes[name] = node
+        self._successor_index = None
         return name
 
     def connect_delay(self, delay_name: str, source: str) -> None:
@@ -161,6 +166,7 @@ class DFG:
         self._nodes[delay_name] = Node(
             name=node.name, op=OpType.DELAY, inputs=(source,), label=node.label
         )
+        self._successor_index = None
 
     def add_output(self, source: str, name: str | None = None, label: str = "") -> str:
         """Mark ``source`` as an external output (through an OUTPUT node)."""
@@ -227,9 +233,15 @@ class DFG:
         return list(self.node(name).inputs)
 
     def successors(self, name: str) -> List[str]:
-        """Nodes that consume the value of ``name``."""
+        """Nodes that consume the value of ``name``, once each, in insertion order."""
         self.node(name)
-        return [n.name for n in self if name in n.inputs]
+        if self._successor_index is None:
+            index: Dict[str, List[str]] = {key: [] for key in self._nodes}
+            for node in self:
+                for operand in dict.fromkeys(node.inputs):
+                    index[operand].append(node.name)
+            self._successor_index = index
+        return list(self._successor_index[name])
 
     def fanout(self, name: str) -> int:
         """Number of consumers of a node's value."""
@@ -362,6 +374,7 @@ class DFG:
                         inputs=placeholder.inputs,
                         label=str(entry["label"]),
                     )
+                    graph._successor_index = None
                 if inputs:
                     pending_delays.append((name, inputs[0]))
                 continue

@@ -15,7 +15,9 @@ return the same :class:`~repro.optimize.result.OptimizationResult`:
   precomputed adjoint noise gains — no analyzer call per candidate — and
   only the chosen shave is re-analyzed; an infeasible shave blocks that
   node for the rest of the descent (noise only grows, so a failed shave
-  can never become feasible later).
+  can never become feasible later).  Each shave is scored once per
+  descent; an accepted shave re-scores only the candidates whose score
+  reads a format it changed (:class:`_ShaveRanking`).
 * :class:`SimulatedAnnealingOptimizer` performs Metropolis moves (+-1
   fractional bit on a random node) over an energy mixing cost with an
   SNR-deficit penalty, keeping the best feasible design it visits.
@@ -39,12 +41,15 @@ descent is already paid for.
 from __future__ import annotations
 
 import abc
+import heapq
 import math
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from repro.dfg.graph import DFG
+from repro.dfg.node import OpType
 from repro.errors import NoiseModelError, OptimizationError
 from repro.jobs.checkpoint import SearchCheckpoint
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
@@ -223,6 +228,141 @@ class UniformSweepOptimizer(WordLengthOptimizer):
         return evaluation, evaluation.cost, word_length
 
 
+def _price_reads(graph: DFG, name: str) -> List[str]:
+    """Nodes whose formats :meth:`HardwareCostModel.node_cost` reads for ``name``.
+
+    The node's own result format (registers and ports have none that is
+    priced) and each operand's, with DELAY chains resolved to the
+    producer whose word the register forwards.
+    """
+    node = graph.node(name)
+    if node.op in (OpType.INPUT, OpType.OUTPUT):
+        return []
+    reads = [] if node.op is OpType.DELAY else [name]
+    for operand in node.inputs:
+        seen = set()
+        while graph.node(operand).op is OpType.DELAY and operand not in seen:
+            seen.add(operand)
+            operand = graph.node(operand).inputs[0]
+        reads.append(operand)
+    return reads
+
+
+class _ShaveRanking:
+    """The one-bit shaves of one greedy descent, ranked by cost saved per noise added.
+
+    A shave of candidate ``Y`` scores ``saved / max(added, 1e-30)``:
+    ``saved`` is the cost :meth:`HardwareCostModel.reprice` says it
+    saves over :meth:`HardwareCostModel.affected_by` of ``Y``, ``added``
+    the noise :meth:`OptimizationProblem.predicted_noise_increase`
+    predicts.  That score reads only a few formats: ``Y``'s own, and the
+    ones :func:`_price_reads` names for every node whose price it moves.
+    A reverse index, built once, maps each format to the candidates
+    reading it, so an accepted shave re-scores only the readers of the
+    formats it changed (coverage widening can change more than the
+    shaved node), and a rejected one re-scores nothing.
+
+    The best shave comes off a lazy max-heap keyed ``(-score, index in
+    problem.tunable)`` — the highest score, the first tunable node on
+    ties.  A re-score bumps the candidate's version; entries with an old
+    version, or of a node in ``blocked``, are dropped when they surface.
+    The heap (and so every ``added``) is built on the first :meth:`best`
+    call only; the batched engine reads just the savings (:meth:`moves`).
+    """
+
+    def __init__(
+        self,
+        problem: OptimizationProblem,
+        assignment: WordLengthAssignment,
+        blocked: set[str],
+    ) -> None:
+        self.problem = problem
+        self.assignment = assignment
+        #: Nodes whose shave is rejected for the rest of the descent
+        #: (shared with the caller, who adds to it).
+        self.blocked = blocked
+        graph, cost_model = problem.graph, problem.cost_model
+        self._tunable = problem.tunable
+        self._index = {node: index for index, node in enumerate(self._tunable)}
+        self._affected = {node: cost_model.affected_by(graph, node) for node in self._tunable}
+        self._readers: Dict[str, List[str]] = {}
+        for node in self._tunable:
+            reads = {node: None}
+            for priced in self._affected[node]:
+                reads.update(dict.fromkeys(_price_reads(graph, priced)))
+            for name in reads:
+                self._readers.setdefault(name, []).append(node)
+        self._version = dict.fromkeys(self._tunable, 0)
+        self._moves: Dict[str, Tuple[int, float]] = {}  # node -> (new_frac, saved)
+        self._heap: List[Tuple[float, int, int]] | None = None
+        for node in self._tunable:
+            if node not in blocked:
+                self._score(node)
+
+    def dependents(self, names: Iterable[str]) -> List[str]:
+        """Candidates whose score reads the format of any of ``names``."""
+        return list(
+            dict.fromkeys(reader for name in names for reader in self._readers.get(name, ()))
+        )
+
+    def _score(self, node: str) -> None:
+        self._version[node] += 1
+        self._moves.pop(node, None)
+        problem = self.problem
+        fmt = self.assignment.formats.get(node)
+        if fmt is None or fmt.fractional_bits <= problem.min_fractional_bits:
+            return
+        new_frac = fmt.fractional_bits - 1
+        shaved = self.assignment.with_fractional_bits(node, new_frac)
+        saved = -problem.cost_model.reprice(
+            problem.graph, self.assignment, shaved, self._affected[node]
+        )
+        if saved <= 0.0:
+            return
+        self._moves[node] = (new_frac, saved)
+        if self._heap is not None:
+            self._push(node)
+
+    def _push(self, node: str) -> None:
+        new_frac, saved = self._moves[node]
+        added = self.problem.predicted_noise_increase(self.assignment, node, new_frac)
+        score = saved / max(added, 1e-30)
+        heapq.heappush(self._heap, (-score, self._index[node], self._version[node]))
+
+    def best(self) -> Tuple[str, int] | None:
+        """The highest-scoring unblocked shave as ``(node, new_frac)``."""
+        if self._heap is None:
+            self._heap = []
+            for node in self._moves:
+                self._push(node)
+        heap = self._heap
+        while heap:
+            _neg_score, index, version = heap[0]
+            node = self._tunable[index]
+            if version == self._version[node] and node not in self.blocked:
+                return node, self._moves[node][0]
+            heapq.heappop(heap)
+        return None
+
+    def moves(self) -> List[Tuple[str, int, float]]:
+        """Every unblocked shave as ``(node, new_frac, saved)``, in tunable order."""
+        return [
+            (node, *self._moves[node])
+            for node in self._tunable
+            if node in self._moves and node not in self.blocked
+        ]
+
+    def accept(self, assignment: WordLengthAssignment) -> None:
+        """Move to ``assignment`` and re-score the readers of every changed format."""
+        old, new = self.assignment.formats, assignment.formats
+        changed = [name for name, fmt in new.items() if old.get(name) != fmt]
+        changed += [name for name in old if name not in new]
+        self.assignment = assignment
+        for node in self.dependents(changed):
+            if node not in self.blocked:
+                self._score(node)
+
+
 class GreedyBitStealingOptimizer(WordLengthOptimizer):
     """Feasible-start descent shaving the best cost/noise fractional bit.
 
@@ -331,17 +471,18 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         best_doc = best.assignment.to_doc() if best is not None and best.feasible else None
         use_batched = getattr(problem, "engine", "incremental") == "batched"
         problem.notify_accepted(current.assignment)
+        ranking = _ShaveRanking(problem, current.assignment, blocked)
         for _step in range(self.max_iterations):
             if use_batched:
                 try:
-                    candidate = self._best_candidate_batched(problem, current, blocked)
+                    candidate = self._best_candidate_batched(problem, current, ranking)
                 except NoiseModelError:
                     # batched setup failed (e.g. uncoverable baseline) —
                     # the incremental path answers the same question.
                     use_batched = False
-                    candidate = self._best_candidate(problem, current, blocked)
+                    candidate = ranking.best()
             else:
-                candidate = self._best_candidate(problem, current, blocked)
+                candidate = ranking.best()
             if candidate is None:
                 break
             node, new_frac = candidate
@@ -355,6 +496,7 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
                 _record(trace, problem, action, evaluation, True)
                 current = evaluation
                 problem.notify_accepted(current.assignment)
+                ranking.accept(current.assignment)
                 if checkpoint is not None:
                     checkpoint.save(
                         {
@@ -371,45 +513,11 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
                 blocked.add(node)
         return current
 
-    def _best_candidate(
-        self,
-        problem: OptimizationProblem,
-        current: DesignEvaluation,
-        blocked: set[str],
-    ) -> Tuple[str, int] | None:
-        """Rank one-bit shaves by cost saved per predicted noise added."""
-        best_node: str | None = None
-        best_frac = 0
-        best_score = 0.0
-        for node in problem.tunable:
-            if node in blocked:
-                continue
-            fmt = current.assignment.formats.get(node)
-            if fmt is None or fmt.fractional_bits <= problem.min_fractional_bits:
-                continue
-            new_frac = fmt.fractional_bits - 1
-            shaved = current.assignment.with_fractional_bits(node, new_frac)
-            saved = -problem.cost_model.reprice(
-                problem.graph,
-                current.assignment,
-                shaved,
-                problem.cost_model.affected_by(problem.graph, node),
-            )
-            if saved <= 0.0:
-                continue
-            added = problem.predicted_noise_increase(current.assignment, node, new_frac)
-            score = saved / max(added, 1e-30)
-            if best_node is None or score > best_score:
-                best_node, best_frac, best_score = node, new_frac, score
-        if best_node is None:
-            return None
-        return best_node, best_frac
-
     def _best_candidate_batched(
         self,
         problem: OptimizationProblem,
         current: DesignEvaluation,
-        blocked: set[str],
+        ranking: _ShaveRanking,
     ) -> Tuple[str, int] | None:
         """One vectorized pass pricing *every* unblocked one-bit shave.
 
@@ -419,37 +527,19 @@ class GreedyBitStealingOptimizer(WordLengthOptimizer):
         and blocks every shave the floor already rejects — noise only
         grows as the descent progresses, so a rejected shave stays
         rejected (the same monotonicity argument the scalar path uses,
-        applied to the whole frontier at once).
+        applied to the whole frontier at once).  The cost each shave
+        saves comes from ``ranking``.
         """
-        moves: List[Tuple[str, int]] = []
-        savings: List[float] = []
-        for node in problem.tunable:
-            if node in blocked:
-                continue
-            fmt = current.assignment.formats.get(node)
-            if fmt is None or fmt.fractional_bits <= problem.min_fractional_bits:
-                continue
-            new_frac = fmt.fractional_bits - 1
-            shaved = current.assignment.with_fractional_bits(node, new_frac)
-            saved = -problem.cost_model.reprice(
-                problem.graph,
-                current.assignment,
-                shaved,
-                problem.cost_model.affected_by(problem.graph, node),
-            )
-            if saved <= 0.0:
-                continue
-            moves.append((node, new_frac))
-            savings.append(saved)
-        if not moves:
+        candidates = ranking.moves()
+        if not candidates:
             return None
-        noise = problem.price_moves(current.assignment, moves)
+        noise = problem.price_moves(current.assignment, [move[:2] for move in candidates])
         threshold = problem.snr_floor_db + problem.margin_db
         best: Tuple[str, int] | None = None
         best_score = 0.0
-        for (node, new_frac), saved, noise_power in zip(moves, savings, noise):
+        for (node, new_frac, saved), noise_power in zip(candidates, noise):
             if problem._snr_db(float(noise_power)) < threshold:
-                blocked.add(node)
+                ranking.blocked.add(node)
                 continue
             added = max(float(noise_power) - current.noise_power, 0.0)
             score = saved / max(added, 1e-30)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.benchmarks.circuits import get_circuit
@@ -108,6 +113,45 @@ class TestReprice:
                 graph, assignment, shaved, model.affected_by(graph, node)
             )
             assert delta == pytest.approx(model.total(graph, shaved) - base)
+
+
+    def test_deltas_do_not_depend_on_hash_seed(self):
+        """Bit-identical deltas under different PYTHONHASHSEED values."""
+        script = (
+            "from repro.benchmarks.generators import generate_circuit\n"
+            "from repro.dfg.range_analysis import infer_ranges\n"
+            "from repro.noisemodel.assignment import WordLengthAssignment\n"
+            "from repro.optimize.cost import COST_TABLES, HardwareCostModel\n"
+            "specs = ('fir_cascade:taps=4,samples=8', 'iir_cascade:sections=2,samples=6',\n"
+            "         'mlp_layer:inputs=4,neurons=3')\n"
+            "for spec in specs:\n"
+            "    c = generate_circuit(spec)\n"
+            "    ranges = infer_ranges(c.graph, c.input_ranges).ranges\n"
+            "    a = WordLengthAssignment.uniform(c.graph, 14, ranges)\n"
+            "    for table in COST_TABLES.values():\n"
+            "        model = HardwareCostModel(table)\n"
+            "        for node in a:\n"
+            "            for bits in (1, 3):\n"
+            "                frac = max(0, a.format_of(node).fractional_bits - bits)\n"
+            "                shaved = a.with_fractional_bits(node, frac)\n"
+            "                nodes = model.affected_by(c.graph, node)\n"
+            "                print(model.reprice(c.graph, a, shaved, nodes).hex())\n"
+        )
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hash_seed
+            env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestCostTable:

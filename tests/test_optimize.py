@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import AnalysisConfig, NoiseAnalysisPipeline
 from repro.benchmarks.circuits import get_circuit
+from repro.benchmarks.generators import generate_circuit
 from repro.config import OptimizeConfig
 from repro.errors import OptimizationError
 from repro.optimize import (
@@ -13,6 +16,7 @@ from repro.optimize import (
     OptimizationProblem,
     get_optimizer,
 )
+from repro.optimize.strategies import _ShaveRanking
 
 # Chosen so the cheapest feasible uniform design lands with a few dB of
 # slack over the floor: quadratic's AA SNR steps ~6 dB per uniform bit
@@ -155,6 +159,156 @@ class TestGreedy:
         assert result.analyzer_calls >= len(
             [r for r in result.iterations if "shave" in r.action]
         )
+
+
+def _reference_moves(problem, assignment, blocked):
+    """Every unblocked one-bit shave priced from scratch, in tunable order."""
+    moves = []
+    for node in problem.tunable:
+        if node in blocked:
+            continue
+        fmt = assignment.formats.get(node)
+        if fmt is None or fmt.fractional_bits <= problem.min_fractional_bits:
+            continue
+        shaved = assignment.with_fractional_bits(node, fmt.fractional_bits - 1)
+        saved = -problem.cost_model.reprice(
+            problem.graph, assignment, shaved, problem.cost_model.affected_by(problem.graph, node)
+        )
+        if saved > 0.0:
+            moves.append((node, fmt.fractional_bits - 1, saved))
+    return moves
+
+
+def _reference_pick(problem, assignment, blocked):
+    """Full re-rank: highest saved/added score, first tunable node on ties."""
+    best, best_score = None, 0.0
+    for node, new_frac, saved in _reference_moves(problem, assignment, blocked):
+        added = problem.predicted_noise_increase(assignment, node, new_frac)
+        score = saved / max(added, 1e-30)
+        if best is None or score > best_score:
+            best, best_score = (node, new_frac), score
+    return best
+
+
+def _headroom_start(problem, headroom=2):
+    """The greedy optimizer's headroom start: cheapest feasible uniform + ``headroom``."""
+    for word_length in range(problem.min_word_length, problem.max_word_length + 1):
+        if problem.evaluate_uniform(word_length).feasible:
+            return problem.evaluate_uniform(
+                min(word_length + headroom, problem.max_word_length)
+            )
+    pytest.fail(f"no feasible uniform design for {problem.name}")
+
+
+def _checked_descent(problem):
+    """Walk one greedy descent, comparing the ranking with a full re-rank at every step.
+
+    Returns the number of accepted and rejected shaves.
+    """
+    current = _headroom_start(problem)
+    blocked: set[str] = set()
+    ranking = _ShaveRanking(problem, current.assignment, blocked)
+    accepted = rejected = 0
+    for _step in range(400):
+        assert ranking.moves() == _reference_moves(problem, current.assignment, blocked)
+        pick = ranking.best()
+        assert pick == _reference_pick(problem, current.assignment, blocked)
+        if pick is None:
+            break
+        evaluation = problem.evaluate(current.assignment.with_fractional_bits(*pick))
+        if evaluation.feasible and evaluation.cost < current.cost:
+            current = evaluation
+            ranking.accept(current.assignment)
+            accepted += 1
+        else:
+            blocked.add(pick[0])
+            rejected += 1
+    return accepted, rejected
+
+
+def _ranking_problem(circuit, cost_table, floor=58.0):
+    config = OptimizeConfig(
+        snr_floor_db=floor, method="ia", horizon=4, bins=8, cost_table=cost_table
+    )
+    return OptimizationProblem.from_circuit(circuit, floor, config=config)
+
+
+class TestShaveRanking:
+    """The lazy heap picks what a full re-rank of every shave would pick."""
+
+    @pytest.mark.parametrize("cost_table", ["lut4", "asic"])
+    @pytest.mark.parametrize(
+        "spec", ["fir_cascade:taps=4,samples=6", "iir_cascade:sections=2,samples=4"]
+    )
+    def test_matches_full_rerank_on_generated_graphs(self, spec, cost_table):
+        accepted, rejected = _checked_descent(
+            _ranking_problem(generate_circuit(spec), cost_table)
+        )
+        assert accepted > 0 and rejected > 0
+
+    @pytest.mark.parametrize("cost_table", ["lut4", "asic"])
+    @pytest.mark.parametrize("name", ["fir4", "iir_biquad", "matmul2"])
+    def test_matches_full_rerank_through_delay_chains(self, name, cost_table):
+        accepted, rejected = _checked_descent(_ranking_problem(get_circuit(name), cost_table))
+        assert accepted > 0 and rejected > 0
+
+    @pytest.mark.parametrize("cost_table", ["lut4", "asic"])
+    def test_matches_full_rerank_on_random_graphs(self, random_circuit_factory, cost_table):
+        totals = [0, 0]
+        for seed in range(8):
+            circuit = random_circuit_factory(seed)
+            accepted, rejected = _checked_descent(
+                _ranking_problem(circuit, cost_table, floor=30.0)
+            )
+            totals[0] += accepted
+            totals[1] += rejected
+        assert totals[0] > 0 and totals[1] > 0
+
+    def test_accept_rescores_every_changed_format(self):
+        # Widening one node's integer bits and shaving another's fraction
+        # at once: both formats' readers must be re-scored.
+        problem = _ranking_problem(generate_circuit("fir_cascade:taps=4,samples=6"), "asic")
+        current = _headroom_start(problem)
+        ranking = _ShaveRanking(problem, current.assignment, set())
+        formats = dict(current.assignment.formats)
+        candidates = [node for node in problem.tunable if formats[node].fractional_bits]
+        widened, shaved = candidates[0], candidates[-1]
+        fmt = formats[widened]
+        formats[widened] = replace(fmt, integer_bits=fmt.integer_bits + 1)
+        formats[shaved] = formats[shaved].with_fractional_bits(formats[shaved].fractional_bits - 1)
+        moved = replace(current.assignment, formats=formats)
+        ranking.accept(moved)
+        assert ranking.moves() == _reference_moves(problem, moved, set())
+        assert ranking.best() == _reference_pick(problem, moved, set())
+
+    def test_accepted_shave_rescores_only_its_dependents(self, monkeypatch):
+        problem = _ranking_problem(generate_circuit("fir_cascade:taps=4,samples=6"), "lut4")
+        current = _headroom_start(problem)
+        ranking = _ShaveRanking(problem, current.assignment, set())
+        node, new_frac = ranking.best()
+        evaluation = problem.evaluate(current.assignment.with_fractional_bits(node, new_frac))
+        assert evaluation.feasible and evaluation.cost < current.cost
+        changed = [
+            name
+            for name, fmt in evaluation.assignment.formats.items()
+            if current.assignment.formats.get(name) != fmt
+        ]
+        expected = [
+            reader
+            for reader in ranking.dependents(changed)
+            if evaluation.assignment.format_of(reader).fractional_bits
+            > problem.min_fractional_bits
+        ]
+        calls = []
+        original = problem.cost_model.reprice
+        monkeypatch.setattr(
+            problem.cost_model,
+            "reprice",
+            lambda *args: calls.append(args) or original(*args),
+        )
+        ranking.accept(evaluation.assignment)
+        assert len(calls) == len(expected)
+        assert 0 < len(expected) < len(problem.tunable)
 
 
 class TestAnnealing:
