@@ -9,7 +9,7 @@ Subpackages
 ``symbols``
     Noise symbols, symbolic expressions, Cartesian propagation.
 ``fixedpoint``
-    Formats, quantization and bit-true value handling.
+    Formats and scalar / vectorized quantization.
 ``dfg``
     Dataflow graphs: builders, simulators (scalar and batched),
     range analysis, sequential unrolling.

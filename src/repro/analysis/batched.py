@@ -8,7 +8,7 @@ propagation rule of :class:`~repro.noisemodel.analyzer.DatapathNoiseAnalyzer`
 becomes a handful of elementwise array operations.  One call to
 :meth:`price` replaces *n* per-node Python dispatch sweeps — the
 word-length optimizer's greedy inner loop prices every candidate shave
-at once, and annealing can run many chains against one program.
+at once.
 
 Bit-equivalence contract
 ------------------------

@@ -1,11 +1,8 @@
 """Frozen configuration objects for the public analysis / optimize API.
 
-Five PRs of organic growth left the library's entry points with three
-overlapping kwarg vocabularies: :class:`~repro.analysis.pipeline.NoiseAnalysisPipeline`
-took analyzer knobs directly, :class:`~repro.optimize.problem.OptimizationProblem`
-took a superset with different defaults, and every benchmark driver
-re-declared both as argparse flags.  This module is the single source of
-truth that replaces them:
+:class:`~repro.analysis.pipeline.NoiseAnalysisPipeline`,
+:class:`~repro.optimize.problem.OptimizationProblem` and the benchmark
+drivers take their knobs from two objects, and from nothing else:
 
 * :class:`AnalysisConfig` — how to *analyze* a circuit (word length,
   unrolling horizon, SNA bins, which methods, Monte-Carlo budget).
@@ -18,19 +15,13 @@ Both are frozen dataclasses: hashable, comparable, safe to share between
 a pipeline, a problem and a benchmark driver without defensive copying.
 Derive variants with :meth:`AnalysisConfig.replace` /
 :meth:`OptimizeConfig.replace`.
-
-The old per-call kwargs survive for one release as deprecated aliases.
-Entry points collect them as :data:`UNSET`-defaulted keywords and call
-:func:`merge_deprecated_kwargs`, which warns once (``DeprecationWarning``
-naming every legacy kwarg used) and folds the values onto the config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping, Tuple
+from typing import Any, Tuple
 
 from repro.errors import NoiseModelError, OptimizationError
 
@@ -38,61 +29,11 @@ __all__ = [
     "AnalysisConfig",
     "OptimizeConfig",
     "ENGINES",
-    "UNSET",
-    "merge_deprecated_kwargs",
 ]
 
 
-class _Unset:
-    """Sentinel distinguishing "kwarg not supplied" from a real ``None``."""
-
-    _instance: "_Unset | None" = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Default value of every deprecated alias keyword: "not supplied".
-UNSET = _Unset()
-
 #: Candidate-evaluation engines an :class:`OptimizeConfig` can select.
 ENGINES = ("fresh", "incremental", "batched")
-
-
-def merge_deprecated_kwargs(
-    config: Any,
-    aliases: Mapping[str, Any],
-    *,
-    stacklevel: int = 3,
-) -> Any:
-    """Fold legacy keyword values onto ``config``, warning once.
-
-    ``aliases`` maps config field names to the values the caller passed;
-    entries equal to :data:`UNSET` are ignored.  When at least one legacy
-    kwarg was supplied, a single :class:`DeprecationWarning` naming all of
-    them is emitted and a new config with those fields replaced is
-    returned; otherwise ``config`` is returned unchanged.
-    """
-    supplied = {name: value for name, value in aliases.items() if value is not UNSET}
-    if not supplied:
-        return config
-    names = ", ".join(sorted(supplied))
-    warnings.warn(
-        f"keyword argument(s) {names} are deprecated; pass a "
-        f"{type(config).__name__} via 'config' instead "
-        f"(e.g. config={type(config).__name__}({names.split(', ')[0]}=...))",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return dataclasses.replace(config, **supplied)
 
 
 @dataclass(frozen=True)

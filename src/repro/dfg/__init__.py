@@ -24,7 +24,7 @@ from repro.dfg.partition import (
     extract_partition,
     partition_graph,
 )
-from repro.dfg.range_analysis import formats_for_ranges, infer_ranges
+from repro.dfg.range_analysis import infer_ranges
 from repro.dfg.trace import TracedCircuit, trace
 from repro.dfg.unroll import UnrolledGraph, unroll_sequential
 
@@ -45,7 +45,6 @@ __all__ = [
     "UnrolledGraph",
     "unroll_sequential",
     "infer_ranges",
-    "formats_for_ranges",
     "Partitioning",
     "PartitionSubgraph",
     "partition_graph",

@@ -22,13 +22,11 @@ from typing import Dict, Mapping
 
 from repro.dfg.evaluate import evaluate_combinational
 from repro.dfg.graph import DFG
-from repro.dfg.node import OpType
 from repro.errors import DFGError
-from repro.fixedpoint.format import FixedPointFormat
 from repro.intervals.interval import Interval
 from repro.utils.mathutils import integer_bits_for_range
 
-__all__ = ["RangeAnalysisResult", "infer_ranges", "formats_for_ranges"]
+__all__ = ["RangeAnalysisResult", "infer_ranges"]
 
 
 @dataclass(frozen=True)
@@ -126,26 +124,3 @@ def _as_interval(value: Interval | float) -> Interval:
         return value
     return Interval.point(float(value))
 
-
-def formats_for_ranges(
-    ranges: Mapping[str, Interval],
-    fractional_bits: Mapping[str, int] | int,
-    signed: bool = True,
-    margin_bits: int = 0,
-) -> Dict[str, FixedPointFormat]:
-    """Build per-node fixed-point formats from ranges and fractional bits.
-
-    ``fractional_bits`` is either a single precision applied to every node
-    or a per-node mapping.  ``margin_bits`` adds guard bits on top of the
-    minimum integer width (a conservative designer knob).
-    """
-    formats: Dict[str, FixedPointFormat] = {}
-    for name, interval in ranges.items():
-        frac = fractional_bits if isinstance(fractional_bits, int) else fractional_bits.get(name)
-        if frac is None:
-            continue
-        integer_bits = integer_bits_for_range(interval.lo, interval.hi, signed=signed) + margin_bits
-        formats[name] = FixedPointFormat(
-            integer_bits=integer_bits, fractional_bits=int(frac), signed=signed
-        )
-    return formats

@@ -19,15 +19,11 @@ __all__ = [
     "SymbolError",
     "ExpressionError",
     "FixedPointError",
-    "OverflowModeError",
     "DFGError",
     "NodeNotFoundError",
     "CycleError",
     "NoiseModelError",
-    "SchedulingError",
-    "AllocationError",
     "OptimizationError",
-    "InfeasibleConstraintError",
     "DesignError",
     "JobError",
     "CheckpointError",
@@ -81,10 +77,6 @@ class FixedPointError(ReproError):
     """Raised for invalid fixed-point formats or conversions."""
 
 
-class OverflowModeError(FixedPointError):
-    """Raised when an unknown overflow or quantization mode is requested."""
-
-
 class DFGError(ReproError):
     """Raised for malformed dataflow graphs."""
 
@@ -101,20 +93,8 @@ class NoiseModelError(ReproError):
     """Raised when a quantization-noise model cannot be constructed."""
 
 
-class SchedulingError(ReproError):
-    """Raised when a schedule cannot be produced under the constraints."""
-
-
-class AllocationError(ReproError):
-    """Raised when resource allocation or binding fails."""
-
-
 class OptimizationError(ReproError):
     """Raised when a word-length optimization cannot make progress."""
-
-
-class InfeasibleConstraintError(OptimizationError):
-    """Raised when no word-length assignment can satisfy the constraints."""
 
 
 class DesignError(ReproError):

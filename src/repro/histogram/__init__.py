@@ -11,14 +11,9 @@ error models, moment/bound statistics and Monte-Carlo sampling.
 
 from repro.histogram.arithmetic import combine_histograms, spread_intervals
 from repro.histogram.pdf import HistogramPDF
-from repro.histogram.shapes import (
-    gaussian_histogram,
-    quantization_error_histogram,
-    triangular_histogram,
-    uniform_histogram,
-)
+from repro.histogram.shapes import gaussian_histogram, quantization_error_histogram
 from repro.histogram.statistics import HistogramStats, summarize
-from repro.histogram.sampling import empirical_histogram, sample_histogram
+from repro.histogram.sampling import sample_histogram
 
 __all__ = [
     "HistogramPDF",
@@ -26,10 +21,7 @@ __all__ = [
     "summarize",
     "combine_histograms",
     "spread_intervals",
-    "uniform_histogram",
-    "triangular_histogram",
     "gaussian_histogram",
     "quantization_error_histogram",
     "sample_histogram",
-    "empirical_histogram",
 ]

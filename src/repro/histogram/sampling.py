@@ -7,14 +7,12 @@ Table 2) and generating stimulus for the bit-true fixed-point simulator.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import HistogramError
 from repro.histogram.pdf import HistogramPDF
 
-__all__ = ["sample_histogram", "empirical_histogram", "resample"]
+__all__ = ["sample_histogram"]
 
 
 def sample_histogram(
@@ -52,21 +50,3 @@ def sample_histogram(
     hi = pdf.edges[1:][bin_idx]
     return lo + (hi - lo) * rng.random(count)
 
-
-def empirical_histogram(
-    samples: Sequence[float] | np.ndarray,
-    bins: int = 64,
-) -> HistogramPDF:
-    """Build an empirical histogram PDF from raw samples."""
-    return HistogramPDF.from_samples(samples, bins=bins)
-
-
-def resample(
-    pdf: HistogramPDF,
-    bins: int,
-    count: int = 100_000,
-    rng: np.random.Generator | int | None = None,
-) -> HistogramPDF:
-    """Monte-Carlo re-discretization (mainly for cross-checking ``rebin``)."""
-    samples = sample_histogram(pdf, count, rng=rng)
-    return HistogramPDF.from_samples(samples, bins=bins)

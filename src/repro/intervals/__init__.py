@@ -7,7 +7,6 @@ with plain interval arithmetic.
 """
 
 from repro.intervals.affine import AffineContext, AffineForm
-from repro.intervals.compare import enclosure_comparison, overestimation_factor
 from repro.intervals.interval import Interval
 from repro.intervals.taylor import TaylorModel
 
@@ -16,6 +15,4 @@ __all__ = [
     "AffineForm",
     "AffineContext",
     "TaylorModel",
-    "enclosure_comparison",
-    "overestimation_factor",
 ]

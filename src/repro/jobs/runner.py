@@ -8,13 +8,11 @@ work units on one of two backends:
     requirements, and the fallback when ``workers == 1`` or process
     pools are unavailable.
 ``process``
-    A :class:`concurrent.futures.ProcessPoolExecutor`.  Without
-    fault-tolerance options the pool is fed through a chunked ``map``
-    (jobs dispatched in submission order, chunk size amortizing
-    pickling).  With a retry policy, timeout, fault plan, or checkpoint
-    the runner switches to a resilient submit-per-job loop that can
-    kill hung workers, respawn a broken pool, and resubmit only the
-    unfinished jobs.
+    A :class:`concurrent.futures.ProcessPoolExecutor` fed one job per
+    submit through a bounded window (twice the worker count), so each
+    job starts as soon as a worker frees up.  The loop kills hung
+    workers, respawns a broken pool, and resubmits only the unfinished
+    jobs; with no retry policy each job gets one attempt.
 
 Both backends return results **in submission order**, never completion
 order, and every per-job seed derives from the job key alone — so a
@@ -24,7 +22,10 @@ a failed :class:`JobResult` (error + traceback), not an exception in
 the parent; a worker that dies without reporting (killed, segfault) is
 retried under the :class:`~repro.jobs.policy.RetryPolicy` and surfaces
 as :class:`JobError` (carrying the already-completed results) only once
-its attempt budget is spent.
+its attempt budget is spent.  A pool death is charged only to a job
+that was alone in flight: when several were, they are all resubmitted
+uncharged and run one at a time until each has run alone, so a crash
+never costs an attempt to a job that did not cause it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ __all__ = ["JobRunner", "RunStats", "execute_job", "summarize_run", "BACKENDS"]
 
 BACKENDS = ("serial", "process")
 
-#: Poll interval of the resilient process loop; bounds how late a
-#: timeout kill can fire past the deadline.
+#: Poll interval of the process loop; bounds how late a timeout kill
+#: can fire past the deadline.
 _POLL_S = 0.05
 
 #: Environment marker set inside every pool worker process.  A
@@ -139,12 +140,8 @@ class JobRunner:
         backend by default.
     backend:
         ``"serial"`` or ``"process"``; ``None`` picks from ``workers``.
-    chunksize:
-        Jobs per pickled batch on the chunked process path; defaults to
-        ``ceil(len(jobs) / (workers * 4))`` so the work queue stays
-        balanced even when job durations are skewed.
     timeout_s:
-        Per-job wall-clock budget.  On the resilient process path a job
+        Per-job wall-clock budget.  On the process backend a job
         past its deadline is killed (pool terminated and respawned; the
         other in-flight jobs are resubmitted uncharged); on the serial
         path the overrun is detected after the fact and the result is
@@ -163,7 +160,6 @@ class JobRunner:
         self,
         workers: int = 1,
         backend: str | None = None,
-        chunksize: int | None = None,
         timeout_s: float | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
@@ -178,13 +174,10 @@ class JobRunner:
         self.nested = bool(os.environ.get(_WORKER_ENV))
         if backend == "process" and self.nested:
             backend = "serial"  # never nest pools inside a pool worker
-        if chunksize is not None and chunksize < 1:
-            raise JobError(f"chunksize must be >= 1, got {chunksize}")
         if timeout_s is not None and timeout_s <= 0.0:
             raise JobError(f"timeout_s must be > 0, got {timeout_s}")
         self.workers = workers
         self.backend = backend
-        self.chunksize = chunksize
         self.timeout_s = timeout_s
         self.retry = retry
         self.fault_plan = fault_plan
@@ -223,14 +216,10 @@ class JobRunner:
                 resumed = checkpoint.begin(ordered)
                 self.last_stats.resumed_jobs = len(resumed)
             pending = [spec for spec in ordered if spec.key not in resumed]
-            if self.backend == "serial":
-                computed = self._run_serial(pending, checkpoint)
-            elif self._resilient_needed(checkpoint):
-                computed = self._run_process_resilient(pending, checkpoint)
-            elif len(pending) == 1:
+            if self.backend == "serial" or not pending:
                 computed = self._run_serial(pending, checkpoint)
             else:
-                computed = self._run_process_chunked(pending)
+                computed = self._run_process(pending, checkpoint)
         finally:
             if checkpoint is not None:
                 checkpoint.close()
@@ -240,14 +229,6 @@ class JobRunner:
         if check:
             self.raise_on_failure(results)
         return results
-
-    def _resilient_needed(self, checkpoint: JobCheckpoint | None) -> bool:
-        return (
-            self.retry is not None
-            or self.timeout_s is not None
-            or self.fault_plan is not None
-            or checkpoint is not None
-        )
 
     # ------------------------------------------------------------------ #
     # serial backend (with post-hoc timeout detection)
@@ -295,33 +276,13 @@ class JobRunner:
                 time.sleep(delay)
 
     # ------------------------------------------------------------------ #
-    # chunked process backend (legacy fast path, no policies engaged)
+    # process backend (timeouts, retries, pool respawn)
     # ------------------------------------------------------------------ #
-    def _run_process_chunked(self, ordered: Sequence[JobSpec]) -> List[JobResult]:
-        workers = min(self.workers, len(ordered))
-        chunksize = self.chunksize or max(1, -(-len(ordered) // (workers * 4)))
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_mark_worker_process
-            ) as pool:
-                # map() preserves submission order regardless of which
-                # worker finishes first — the determinism anchor.
-                return list(pool.map(execute_job, ordered, chunksize=chunksize))
-        except BrokenProcessPool as exc:
-            raise JobError(
-                "a worker process died without reporting a result (killed, "
-                "out-of-memory, or a hard crash); re-run with workers=1 to "
-                f"localize the failing job among {len(ordered)} submitted"
-            ) from exc
-
-    # ------------------------------------------------------------------ #
-    # resilient process backend (timeouts, retries, pool respawn)
-    # ------------------------------------------------------------------ #
-    def _run_process_resilient(
+    def _run_process(
         self, ordered: Sequence[JobSpec], checkpoint: JobCheckpoint | None
     ) -> List[JobResult]:
         retry = self.retry or NO_RETRY
-        workers = min(self.workers, max(len(ordered), 1))
+        workers = min(self.workers, len(ordered))
         window = workers * 2
         max_restarts = len(ordered) * max(retry.max_attempts, 1) + 4
         results: Dict[int, JobResult] = {}
@@ -332,14 +293,27 @@ class JobRunner:
         ]
         heapq.heapify(pending)
         futures: Dict[Future, Tuple[int, int, int, float | None]] = {}
+        # Jobs in flight together when their pool died: any of them may
+        # be the crasher, so they are resubmitted uncharged and run one
+        # at a time (window 1) until each has run alone.
+        suspects: set[int] = set()
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=_mark_worker_process
         )
         pool_broken = False
         try:
             while pending or futures:
+                suspects.difference_update(results)  # timed out for good
                 pool, pool_broken = self._submit_ready(
-                    pool, pool_broken, pending, futures, ordered, window, workers, max_restarts, results
+                    pool,
+                    pool_broken,
+                    pending,
+                    futures,
+                    ordered,
+                    1 if suspects else window,
+                    workers,
+                    max_restarts,
+                    results,
                 )
                 if not futures:
                     if pending:
@@ -353,10 +327,16 @@ class JobRunner:
                     try:
                         result = future.result()
                     except BrokenProcessPool:
+                        alone = not pool_broken and not futures
                         pool_broken = True
-                        self._charge_pool_death(
-                            index, attempt, timeouts, pending, results, ordered, retry
-                        )
+                        if alone:
+                            suspects.discard(index)
+                            self._charge_pool_death(
+                                index, attempt, timeouts, pending, results, ordered, retry
+                            )
+                        else:
+                            suspects.add(index)
+                            heapq.heappush(pending, (0.0, index, attempt, timeouts))
                         continue
                     except Exception as exc:  # noqa: BLE001 - result unpickling etc.
                         result = JobResult(
@@ -365,6 +345,7 @@ class JobRunner:
                             error=f"{type(exc).__name__}: {exc}",
                             seed=ordered[index].seed,
                         )
+                    suspects.discard(index)
                     self._settle(
                         index, result, attempt, timeouts, pending, results, ordered, retry, checkpoint
                     )

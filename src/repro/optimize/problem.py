@@ -20,11 +20,10 @@ import dataclasses
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
-from repro.config import UNSET, OptimizeConfig, merge_deprecated_kwargs
+from repro.config import OptimizeConfig
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.dfg.range_analysis import infer_ranges
@@ -50,6 +49,12 @@ from repro.optimize.cost import COST_TABLES, CostBreakdown, HardwareCostModel
 from repro.utils.mathutils import integer_bits_for_range
 
 __all__ = ["DesignEvaluation", "OptimizationProblem"]
+
+
+#: Default of :meth:`OptimizationProblem.monte_carlo_snr`'s ``confidence``:
+#: "use the problem's own level", distinct from an explicit ``None``
+#: (mean-square).
+_UNSET = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,12 +88,7 @@ class OptimizationProblem:
     config:
         An :class:`~repro.config.OptimizeConfig` carrying the analysis
         method, search-space box constraints, analyzer knobs and the
-        candidate-evaluation engine.  The pre-PR-7 per-field keyword
-        arguments (``method``, ``horizon``, ``bins``, ``margin_db``,
-        ``min_fractional_bits``, ``max_word_length``, ``quantization``,
-        ``overflow``, ``mc_workers``, ``use_incremental``) survive for
-        one release as deprecated aliases that override the config and
-        emit :class:`DeprecationWarning`.
+        candidate-evaluation engine.
     """
 
     def __init__(
@@ -100,42 +100,9 @@ class OptimizationProblem:
         config: OptimizeConfig | None = None,
         output: str | None = None,
         name: str | None = None,
-        *,
-        method: object = UNSET,
-        horizon: object = UNSET,
-        bins: object = UNSET,
-        margin_db: object = UNSET,
-        min_fractional_bits: object = UNSET,
-        max_word_length: object = UNSET,
-        quantization: object = UNSET,
-        overflow: object = UNSET,
-        use_incremental: object = UNSET,
-        mc_workers: object = UNSET,
     ) -> None:
         if config is None:
             config = OptimizeConfig()
-        config = merge_deprecated_kwargs(
-            config,
-            {
-                "method": method,
-                "horizon": horizon,
-                "bins": bins,
-                "margin_db": margin_db,
-                "min_fractional_bits": min_fractional_bits,
-                "max_word_length": max_word_length,
-                "quantization": quantization,
-                "overflow": overflow,
-                "mc_workers": mc_workers,
-            },
-        )
-        if use_incremental is not UNSET:
-            warnings.warn(
-                "keyword argument use_incremental is deprecated; pass "
-                "OptimizeConfig(engine='incremental'|'fresh') via 'config' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = config.replace(engine="incremental" if use_incremental else "fresh")
         if snr_floor_db is not None:
             config = config.replace(snr_floor_db=float(snr_floor_db))
         if str(config.method).lower() not in ANALYSIS_METHODS:
@@ -609,7 +576,7 @@ class OptimizationProblem:
         samples: int = 20_000,
         seed: int | None = 0,
         workers: int | None = None,
-        confidence: "float | None | object" = UNSET,
+        confidence: "float | None | object" = _UNSET,
     ) -> float:
         """Measured SNR of a design under the bit-true Monte-Carlo simulator.
 
@@ -659,7 +626,7 @@ class OptimizationProblem:
                 output=self.output,
                 rng=seed,
             )
-        if confidence is UNSET:
+        if confidence is _UNSET:
             confidence = self.confidence
         if confidence is None:
             return self._snr_db(result.noise_power)

@@ -26,12 +26,12 @@ When the problem's :class:`~repro.config.OptimizeConfig` selects the
 ``batched`` engine, the expensive inner loops change shape without
 changing their contracts: greedy prices *every* unblocked one-bit shave
 in a single vectorized pass (:meth:`OptimizationProblem.price_moves`)
-and ranks by **exact** noise added instead of the adjoint-gain estimate,
-and annealing can run many Metropolis chains side by side, pricing one
-proposal per chain per step in one array pass.  Accepted designs are
-always confirmed through :meth:`OptimizationProblem.evaluate`, so traces
-and results stay grounded in the same evaluator as the scalar engines;
-any batched setup failure falls back to the incremental path.
+and ranks by **exact** noise added instead of the adjoint-gain estimate.
+Accepted shaves are always confirmed through
+:meth:`OptimizationProblem.evaluate`, so traces and results stay grounded
+in the same evaluator as the scalar engines; any batched setup failure
+falls back to the incremental path.  Annealing has one path for every
+engine: each proposal goes through :meth:`OptimizationProblem.evaluate`.
 
 Every strategy also accepts a ``warm_start`` assignment — Pareto sweeps
 hand the previous floor's solution to the next one so most of the
@@ -52,7 +52,7 @@ from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
 from repro.errors import NoiseModelError, OptimizationError
 from repro.jobs.checkpoint import SearchCheckpoint
-from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
+from repro.noisemodel.assignment import WordLengthAssignment
 from repro.optimize.problem import DesignEvaluation, OptimizationProblem
 from repro.optimize.result import IterationRecord, OptimizationResult
 
@@ -555,14 +555,6 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
     strongly discouraged but still traversable at high temperature.  The
     best *feasible* design ever visited is returned (never worse than the
     cheapest feasible uniform, which seeds the search).
-
-    ``chains`` (> 1, with the problem's ``batched`` engine) runs that
-    many independent Metropolis chains side by side: each step proposes
-    one move per chain and prices the whole proposal batch in a single
-    vectorized pass, so exploration scales with the batch width instead
-    of the analyzer-call budget.  The best feasible design across all
-    chains is confirmed through :meth:`OptimizationProblem.evaluate`
-    before it is returned.
     """
 
     name = "anneal"
@@ -575,7 +567,6 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
         headroom: int = 0,
         initial_temperature_scale: float = 0.05,
         downhill_bias: float = 0.65,
-        chains: int = 1,
     ) -> None:
         if iterations < 1:
             raise OptimizationError(f"iterations must be >= 1, got {iterations}")
@@ -583,15 +574,12 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
             raise OptimizationError(f"cooling must be in (0, 1], got {cooling}")
         if not (0.0 <= downhill_bias <= 1.0):
             raise OptimizationError(f"downhill_bias must be in [0, 1], got {downhill_bias}")
-        if chains < 1:
-            raise OptimizationError(f"chains must be >= 1, got {chains}")
         self.iterations = int(iterations)
         self.seed = seed
         self.cooling = float(cooling)
         self.headroom = int(headroom)
         self.initial_temperature_scale = float(initial_temperature_scale)
         self.downhill_bias = float(downhill_bias)
-        self.chains = int(chains)
         #: How many Metropolis steps between checkpoint snapshots.
         self.checkpoint_every = 20
 
@@ -631,12 +619,10 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
         # A snapshot captures the full Metropolis state — step, temperature,
         # current/best designs and the PCG64 generator state — so a resumed
         # chain draws the exact same proposal sequence an uninterrupted run
-        # would have.  The batched multi-chain path is not checkpointed
-        # (one vectorized pass is cheap to redo); only the single-chain
-        # loop below saves and restores state.
+        # would have.
         start_step = 0
         state = checkpoint.load() if checkpoint is not None else None
-        if state and state.get("strategy") == self.name and self.chains == 1:
+        if state and state.get("strategy") == self.name:
             start_step = int(state.get("step", 0))
             temperature_override = float(state["temperature"])
             current = problem.evaluate(WordLengthAssignment.from_doc(state["current"]))
@@ -648,14 +634,6 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
             rng.bit_generator.state = state["rng"]
         else:
             temperature_override = None
-
-        if self.chains > 1 and getattr(problem, "engine", "incremental") == "batched":
-            try:
-                return self._search_batched(
-                    problem, trace, rng, current, best, uniform_eval, uniform_w
-                )
-            except NoiseModelError:
-                pass  # fall through to the single-chain evaluator path
 
         # 1 dB of SNR deficit costs as much as the whole uniform design:
         # high temperature can wander, low temperature cannot stay infeasible.
@@ -714,95 +692,6 @@ class SimulatedAnnealingOptimizer(WordLengthOptimizer):
                         "rng": rng.bit_generator.state,
                     }
                 )
-        return best, uniform_eval.cost, uniform_w
-
-    def _search_batched(
-        self,
-        problem: OptimizationProblem,
-        trace: List[IterationRecord],
-        rng: np.random.Generator,
-        current: DesignEvaluation,
-        best: DesignEvaluation,
-        uniform_eval: DesignEvaluation,
-        uniform_w: int,
-    ) -> Tuple[DesignEvaluation | None, float | None, int | None]:
-        """Vectorized multi-chain Metropolis over the batched engine.
-
-        All chains start from the single-chain seed; each step draws one
-        move per chain and prices the whole batch in one array pass, so
-        a step costs one compiled-program execution instead of ``chains``
-        analyzer calls.  Proposal costing goes through the cost model
-        directly (no :meth:`evaluate`, no cache churn); only the winning
-        design is confirmed through the evaluator at the end.
-        """
-        engine = problem.batched_engine()  # may raise NoiseModelError
-        tunable = [
-            node
-            for node in problem.tunable
-            if current.assignment.formats.get(node) is not None
-        ]
-        if not tunable:
-            return best, uniform_eval.cost, uniform_w
-        chains = self.chains
-        penalty_scale = uniform_eval.cost
-        threshold = problem.snr_floor_db + problem.margin_db
-        assignments: List[WordLengthAssignment] = [current.assignment] * chains
-        seed_energy = self._energy(problem, current, penalty_scale)
-        energies = [seed_energy] * chains
-        best_assignment = best.assignment
-        best_cost = best.cost
-        temperature = max(self.initial_temperature_scale * current.cost, 1e-9)
-        for _step in range(self.iterations):
-            idx = rng.integers(len(tunable), size=chains)
-            downhill = rng.random(chains) < self.downhill_bias
-            accept_draw = rng.random(chains)
-            proposals: List[WordLengthAssignment] = []
-            moved_lanes: List[int] = []
-            for lane in range(chains):
-                node = tunable[int(idx[lane])]
-                fmt = assignments[lane].format_of(node)
-                step = -1 if downhill[lane] else +1
-                new_frac = fmt.fractional_bits + step
-                new_frac = max(problem.min_fractional_bits, new_frac)
-                new_frac = min(problem.max_word_length - fmt.integer_bits, new_frac)
-                if new_frac == fmt.fractional_bits:
-                    continue
-                candidate = assignments[lane].with_fractional_bits(node, new_frac)
-                try:
-                    candidate = ensure_range_coverage(candidate, problem.ranges)
-                except NoiseModelError:
-                    continue
-                proposals.append(candidate)
-                moved_lanes.append(lane)
-            if proposals:
-                noise = engine.price(
-                    proposals,
-                    method=problem.method,
-                    output=problem.output,
-                    confidence=getattr(problem, "confidence", None),
-                )
-                for k, lane in enumerate(moved_lanes):
-                    candidate = proposals[k]
-                    snr = problem._snr_db(float(noise[k]))
-                    candidate_cost = problem.cost_model.price(
-                        problem.graph, candidate
-                    ).total
-                    deficit = max(0.0, threshold - snr)
-                    candidate_energy = candidate_cost + penalty_scale * deficit
-                    delta = candidate_energy - energies[lane]
-                    if delta <= 0.0 or accept_draw[lane] < math.exp(-delta / temperature):
-                        assignments[lane] = candidate
-                        energies[lane] = candidate_energy
-                        if snr >= threshold and candidate_cost < best_cost:
-                            best_assignment = candidate
-                            best_cost = candidate_cost
-            temperature = max(temperature * self.cooling, 1e-9)
-        final = problem.evaluate(best_assignment)
-        _record(
-            trace, problem, f"anneal best of {chains} chains", final, final.feasible
-        )
-        if final.feasible and final.cost < best.cost:
-            best = final
         return best, uniform_eval.cost, uniform_w
 
 

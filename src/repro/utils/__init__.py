@@ -1,37 +1,5 @@
 """Small shared utilities used across the :mod:`repro` package."""
 
-from repro.utils.mathutils import (
-    clog2,
-    flog2,
-    integer_bits_for_range,
-    is_power_of_two,
-    lcm,
-    next_power_of_two,
-    sign,
-    ulp,
-)
-from repro.utils.validation import (
-    check_finite,
-    check_in_range,
-    check_positive,
-    check_positive_int,
-    check_probability,
-    check_type,
-)
+from repro.utils.mathutils import clog2, integer_bits_for_range, ulp
 
-__all__ = [
-    "clog2",
-    "flog2",
-    "integer_bits_for_range",
-    "is_power_of_two",
-    "lcm",
-    "next_power_of_two",
-    "sign",
-    "ulp",
-    "check_finite",
-    "check_in_range",
-    "check_positive",
-    "check_positive_int",
-    "check_probability",
-    "check_type",
-]
+__all__ = ["clog2", "integer_bits_for_range", "ulp"]

@@ -4,8 +4,8 @@ Four subsystems landed together and are tested together because their
 contracts interlock:
 
 * the frozen :class:`~repro.config.AnalysisConfig` /
-  :class:`~repro.config.OptimizeConfig` objects and the deprecated
-  keyword aliases every public constructor now funnels through them;
+  :class:`~repro.config.OptimizeConfig` objects, the only calling
+  convention of every public constructor;
 * the :class:`~repro.analysis.batched.BatchedAnalyzer` — whole-graph
   vectorized pricing that must be **bit-equal** to the fresh and
   incremental engines (exactly for IA, which compiles to the vector
@@ -21,22 +21,17 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 
 import pytest
 
 from repro.analysis import BatchedAnalyzer, NoiseAnalysisPipeline
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.benchmarks.circuits import CIRCUITS, get_circuit
-from repro.config import (
-    ENGINES,
-    AnalysisConfig,
-    OptimizeConfig,
-    merge_deprecated_kwargs,
-)
+from repro.config import ENGINES, AnalysisConfig, OptimizeConfig
 from repro.dfg.graph import DFG, DFG_FORMAT
 from repro.dfg.range_analysis import infer_ranges
 from repro.errors import DFGError, NoiseModelError, OptimizationError
+from repro.jobs import JobRunner
 from repro.noisemodel.analyzer import ANALYSIS_METHODS, DatapathNoiseAnalyzer
 from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
 from repro.optimize import (
@@ -213,36 +208,8 @@ def test_batched_greedy_never_worse_than_incremental():
         assert costs["batched"] <= costs["incremental"], name
 
 
-def test_anneal_chains_batched_deterministic():
-    """Multi-chain annealing is feasible and a pure function of the seed."""
-    circuit = get_circuit("fir4")
-
-    def solve():
-        problem = OptimizationProblem.from_circuit(
-            circuit,
-            55.0,
-            config=OptimizeConfig(snr_floor_db=55.0, method="ia", engine="batched"),
-        )
-        optimizer = get_optimizer("anneal", iterations=60, seed=7, chains=8)
-        return get_optimizer_result(optimizer, problem)
-
-    def get_optimizer_result(optimizer, problem):
-        result = optimizer.optimize(problem)
-        assert result.feasible
-        return result
-
-    first, second = solve(), solve()
-    assert first.cost == second.cost
-    assert first.assignment.key() == second.assignment.key()
-
-
-def test_anneal_rejects_bad_chains():
-    with pytest.raises(OptimizationError):
-        get_optimizer("anneal", chains=0)
-
-
 # --------------------------------------------------------------------- #
-# configs and deprecated keyword aliases
+# configs: the only calling convention
 # --------------------------------------------------------------------- #
 
 
@@ -255,96 +222,71 @@ def test_configs_are_frozen_and_validated():
     assert OptimizeConfig().replace(engine="batched").engine == "batched"
 
 
-def test_merge_deprecated_kwargs_names_every_kwarg():
-    config = OptimizeConfig()
-    with pytest.warns(DeprecationWarning, match="horizon") as caught:
-        merged = merge_deprecated_kwargs(config, {"horizon": 4, "bins": 8})
-    assert merged.horizon == 4 and merged.bins == 8
-    assert any("bins" in str(w.message) for w in caught)
+_ENTRY_POINTS = {
+    "pipeline": NoiseAnalysisPipeline,
+    "optimize": lambda **kw: NoiseAnalysisPipeline().optimize(
+        get_circuit("quadratic"), 50.0, **kw
+    ),
+    "problem": lambda **kw: OptimizationProblem.from_circuit(
+        get_circuit("quadratic"), 50.0, **kw
+    ),
+    "anneal": lambda **kw: get_optimizer("anneal", **kw),
+    "runner": JobRunner,
+}
+
+_PIPELINE_KEYWORDS = ("word_length", "horizon", "bins", "mc_samples", "seed", "enclosure_tol")
+_OPTIMIZE_KEYWORDS = ("method", "margin_db", "max_word_length")
+_PROBLEM_KEYWORDS = (
+    "method",
+    "horizon",
+    "bins",
+    "margin_db",
+    "min_fractional_bits",
+    "max_word_length",
+    "quantization",
+    "overflow",
+    "mc_workers",
+    "use_incremental",
+)
+#: Every keyword of the removed pre-config calling convention, the removed
+#: anneal ``chains`` / runner ``chunksize`` knobs, and (``None``) the bare
+#: ``int`` word-length positional of the pipeline.
+_REMOVED = [
+    ("pipeline", None),
+    *(("pipeline", keyword) for keyword in _PIPELINE_KEYWORDS),
+    *(("optimize", keyword) for keyword in _OPTIMIZE_KEYWORDS),
+    *(("problem", keyword) for keyword in _PROBLEM_KEYWORDS),
+    ("anneal", "chains"),
+    ("runner", "chunksize"),
+]
 
 
-def test_pipeline_positional_word_length_warns():
-    with pytest.warns(DeprecationWarning, match="word_length"):
-        pipeline = NoiseAnalysisPipeline(10)
-    assert pipeline.config.word_length == 10
-    assert NoiseAnalysisPipeline(AnalysisConfig(word_length=10)).word_length == 10
+@pytest.mark.parametrize("entry, keyword", _REMOVED)
+def test_removed_calling_conventions_raise_type_error(entry, keyword):
+    call = _ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=keyword or "AnalysisConfig"):
+        call(**{keyword: 1}) if keyword else call(10)
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "field, value",
     [
-        {"word_length": 10},
-        {"horizon": 4},
-        {"bins": 16},
-        {"mc_samples": 500},
-        {"seed": 3},
-        {"enclosure_tol": 1e-9},
+        ("method", "ia"),
+        ("horizon", 4),
+        ("bins", 8),
+        ("margin_db", 2.0),
+        ("min_fractional_bits", 1),
+        ("max_word_length", 20),
+        ("quantization", "truncate"),
+        ("overflow", "wrap"),
+        ("mc_workers", 1),
     ],
 )
-def test_pipeline_ctor_aliases_warn_and_apply(kwargs):
-    with pytest.warns(DeprecationWarning, match=next(iter(kwargs))):
-        pipeline = NoiseAnalysisPipeline(**kwargs)
-    (field, value), = kwargs.items()
-    assert getattr(pipeline.config, field) == value
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"method": "ia"},
-        {"horizon": 4},
-        {"bins": 8},
-        {"margin_db": 2.0},
-        {"min_fractional_bits": 1},
-        {"max_word_length": 20},
-        {"quantization": "truncate"},
-        {"overflow": "wrap"},
-        {"mc_workers": 1},
-    ],
-)
-def test_problem_ctor_aliases_warn_and_apply(kwargs):
-    circuit = get_circuit("quadratic")
-    (field, value), = kwargs.items()
-    with pytest.warns(DeprecationWarning, match=field):
-        problem = OptimizationProblem.from_circuit(circuit, 50.0, **kwargs)
+def test_problem_config_fields_apply(field, value):
+    problem = OptimizationProblem.from_circuit(
+        get_circuit("quadratic"), 50.0, config=OptimizeConfig(snr_floor_db=50.0, **{field: value})
+    )
     assert getattr(problem.config, field) == value
-    clean = OptimizationProblem.from_circuit(
-        circuit, 50.0, config=OptimizeConfig(snr_floor_db=50.0, **{field: value})
-    )
-    assert getattr(clean.config, field) == value
-
-
-@pytest.mark.parametrize("use_incremental, engine", [(True, "incremental"), (False, "fresh")])
-def test_problem_use_incremental_alias(use_incremental, engine):
-    circuit = get_circuit("quadratic")
-    with pytest.warns(DeprecationWarning, match="use_incremental"):
-        problem = OptimizationProblem.from_circuit(
-            circuit, 50.0, use_incremental=use_incremental
-        )
-    assert problem.engine == engine
-    assert problem.use_incremental is use_incremental
-
-
-def test_pipeline_optimize_aliases_warn_and_match_config_path():
-    circuit = get_circuit("quadratic")
-    pipeline = NoiseAnalysisPipeline(AnalysisConfig(word_length=12, horizon=4, bins=8))
-    with pytest.warns(DeprecationWarning, match="max_word_length"):
-        legacy = pipeline.optimize(
-            circuit, 50.0, method="ia", margin_db=0.5, max_word_length=20
-        )
-    config = OptimizeConfig(
-        snr_floor_db=50.0,
-        method="ia",
-        margin_db=0.5,
-        max_word_length=20,
-        horizon=4,
-        bins=8,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        modern = pipeline.optimize(circuit, 50.0, config=config)
-    assert legacy.cost == modern.cost
-    assert legacy.assignment.key() == modern.assignment.key()
 
 
 # --------------------------------------------------------------------- #

@@ -49,6 +49,18 @@ def _boom(value):
     raise ValueError(f"bad value {value}")
 
 
+def _crash_on_first_run(flag_path, delay_s):
+    """Sleep, then kill the worker unless ``flag_path`` shows a prior run."""
+    import os
+    import time
+
+    time.sleep(delay_s)
+    if not os.path.exists(flag_path):
+        open(flag_path, "w").close()
+        os._exit(1)
+    return delay_s
+
+
 def _specs(n=6):
     return [JobSpec(key=f"job/{i}", fn=_triple, args=(i,)) for i in range(n)]
 
@@ -188,6 +200,30 @@ class TestWorkerCrashes:
         )
         results = runner.run(_specs(4), check=True)
         assert [r.value for r in results] == [r.value for r in clean]
+        assert runner.last_stats.pool_restarts >= 1
+
+    def test_pool_death_charges_only_the_crashing_job(self, tmp_path):
+        """``a`` and ``b`` each crash once; ``slow`` never crashes.
+
+        A pool death first finds all three in flight, so none is charged;
+        run alone, ``slow`` and ``a`` pass first time and only ``b`` is
+        charged its crash.  Charging every in-flight job would exhaust
+        ``slow``'s two attempts.
+        """
+        specs = [
+            JobSpec(key="slow", fn=_crash_on_first_run, args=(str(tmp_path / "slow"), 1.0)),
+            JobSpec(key="a", fn=_crash_on_first_run, args=(str(tmp_path / "a"), 0.2)),
+            JobSpec(key="b", fn=_crash_on_first_run, args=(str(tmp_path / "b"), 0.2)),
+        ]
+        (tmp_path / "slow").touch()  # slow has "already run": it never crashes
+        runner = JobRunner(
+            workers=2, retry=RetryPolicy(max_attempts=2, backoff_s=0.0, jitter=0.0)
+        )
+        results = runner.run(specs, check=True)
+        assert [r.value for r in results] == [1.0, 0.2, 0.2]
+        attempts = {r.key: r.attempts for r in results}
+        assert attempts["slow"] == 1
+        assert max(attempts.values()) <= 2
         assert runner.last_stats.pool_restarts >= 1
 
     def test_pool_death_without_retry_raises_job_error(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +49,11 @@ def _sleepless(value):
     return sum(range(value))
 
 
+def _late_square(value, delay_s):
+    time.sleep(delay_s)
+    return value * value
+
+
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):
         assert derive_seed(0, "a", "b") == derive_seed(0, "a", "b")
@@ -81,6 +87,19 @@ class TestJobRunner:
         parallel = JobRunner(workers=2).run(self.specs())
         assert [r.value for r in parallel] == [r.value for r in serial]
         assert [r.key for r in parallel] == [r.key for r in serial]
+
+    def test_more_jobs_than_the_submit_window_keep_submission_order(self):
+        # 12 jobs against a window of 2 * workers = 4, the early ones the
+        # slowest, so completion order is roughly reversed.
+        specs = [
+            JobSpec(key=f"late/{i}", fn=_late_square, args=(i, 0.01 * (12 - i)))
+            for i in range(12)
+        ]
+        serial = JobRunner(workers=1).run(specs)
+        parallel = JobRunner(workers=2).run(specs)
+        assert [r.key for r in parallel] == [spec.key for spec in specs]
+        assert [r.value for r in parallel] == [r.value for r in serial]
+        assert [r.value for r in parallel] == [i * i for i in range(12)]
 
     def test_seed_travels_with_the_job(self):
         specs = [
@@ -127,8 +146,6 @@ class TestJobRunner:
             JobRunner(workers=0)
         with pytest.raises(JobError):
             JobRunner(workers=2, backend="threads")
-        with pytest.raises(JobError):
-            JobRunner(workers=2, chunksize=0)
 
     def test_empty_batch(self):
         assert JobRunner(workers=2).run([]) == []
