@@ -289,6 +289,17 @@ def test_problem_config_fields_apply(field, value):
     assert getattr(problem.config, field) == value
 
 
+@pytest.mark.parametrize("use_incremental, engine", [(True, "incremental"), (False, "fresh")])
+def test_problem_use_incremental_alias(use_incremental, engine):
+    circuit = get_circuit("quadratic")
+    with pytest.raises(TypeError, match="use_incremental"):
+        OptimizationProblem.from_circuit(circuit, 50.0, use_incremental=use_incremental)
+    problem = OptimizationProblem.from_circuit(
+        circuit, 50.0, config=OptimizeConfig(snr_floor_db=50.0, engine=engine)
+    )
+    assert problem.engine == engine
+
+
 # --------------------------------------------------------------------- #
 # Pareto sweeps
 # --------------------------------------------------------------------- #
