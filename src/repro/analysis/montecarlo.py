@@ -7,7 +7,9 @@ against.  Both simulators process the whole sample matrix as numpy
 vectors (:func:`~repro.dfg.evaluate.simulate_batch` /
 :func:`~repro.dfg.evaluate.simulate_fixed_point_batch`), so a hundred
 thousand samples cost a handful of array passes instead of a Python loop
-per sample.
+per sample.  The simulators free each node's sample vector after its last
+reader, so memory is about (peak live values) x samples x 8 bytes, and
+they never write into the stimulus, which both simulations share.
 """
 
 from __future__ import annotations
@@ -189,6 +191,9 @@ def monte_carlo_error(
         record=[output],
     )
     errors = quantized[output] - exact[output]
+    if errors.shape != (samples,):
+        # An input-free graph simulates a batch of one: every sample is alike.
+        errors = np.broadcast_to(errors, (samples,)).copy()
     return _result_from_errors(output, samples, steps, errors)
 
 
