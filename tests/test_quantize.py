@@ -76,3 +76,46 @@ class TestOverflow:
         assert overflow_wrap(INT4.max_value + 1.0, INT4) == INT4.min_value
         wrapped = quantize(INT4.max_value + 1.0, INT4, overflow="wrap")
         assert wrapped == INT4.min_value
+
+
+def _reference_quantize(values, fmt, quantization, overflow):
+    """The textbook formula, one fresh temporary per step."""
+    scaled = np.asarray(values, dtype=float) / fmt.step
+    if quantization == "round":
+        quantized = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled) * fmt.step
+    else:
+        quantized = np.floor(scaled) * fmt.step
+    if overflow == "saturate":
+        return np.clip(quantized, fmt.min_value, fmt.max_value)
+    return np.asarray(overflow_wrap(quantized, fmt), dtype=float)
+
+
+class TestInPlaceKernel:
+    """quantize_array works in one buffer; pin it to the reference formula."""
+
+    VALUES = np.concatenate(
+        [
+            np.arange(-40, 41) * (Q2_4.step / 2),  # every half-step tie
+            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0 - 1e-16, -2.0],
+            np.random.default_rng(7).uniform(-3.0, 3.0, size=500),
+        ]
+    )
+
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    @pytest.mark.parametrize("quantization", ["round", "truncate"])
+    def test_bit_equal_to_reference(self, quantization, overflow):
+        matrix = self.VALUES[:588].reshape(4, 147)
+        scalars = [np.asarray(v) for v in self.VALUES[:89]]  # ties and edge cases
+        for values in [self.VALUES, matrix, *scalars]:
+            before = values.copy()
+            got = quantize_array(values, Q2_4, quantization, overflow)
+            expected = _reference_quantize(values, Q2_4, quantization, overflow)
+            assert got.shape == values.shape
+            assert got.tobytes() == np.asarray(expected).tobytes()
+            assert values.tobytes() == before.tobytes()
+
+    def test_read_only_input(self):
+        values = np.broadcast_to(np.linspace(-3.0, 3.0, 7), (4, 7))
+        got = quantize_array(values, Q2_4)
+        expected = _reference_quantize(values, Q2_4, "round", "saturate")
+        assert got.tobytes() == expected.tobytes()
