@@ -34,6 +34,15 @@ class DFG:
         # Consumers per node, built on first use and dropped on every
         # write to ``_nodes``.
         self._successor_index: Dict[str, List[str]] | None = None
+        #: Number of writes to the node table so far; caches derived from
+        #: the graph elsewhere (e.g. cost-model pricing plans) compare it
+        #: to tell whether they are stale.
+        self.mutations = 0
+
+    def _invalidate(self) -> None:
+        """Drop everything derived from ``_nodes``; call after each write to it."""
+        self._successor_index = None
+        self.mutations += 1
 
     # ------------------------------------------------------------------ #
     # construction
@@ -70,7 +79,7 @@ class DFG:
                 raise NodeNotFoundError(f"operand {operand!r} of node {name!r} does not exist")
         node = Node(name=name, op=op, inputs=inputs, value=value, label=label)
         self._nodes[name] = node
-        self._successor_index = None
+        self._invalidate()
         return name
 
     # convenience constructors ------------------------------------------------
@@ -153,7 +162,7 @@ class DFG:
         # Temporarily self-referential; must be re-wired via connect_delay.
         node = Node(name=name, op=OpType.DELAY, inputs=(name,))
         self._nodes[name] = node
-        self._successor_index = None
+        self._invalidate()
         return name
 
     def connect_delay(self, delay_name: str, source: str) -> None:
@@ -166,7 +175,7 @@ class DFG:
         self._nodes[delay_name] = Node(
             name=node.name, op=OpType.DELAY, inputs=(source,), label=node.label
         )
-        self._successor_index = None
+        self._invalidate()
 
     def add_output(self, source: str, name: str | None = None, label: str = "") -> str:
         """Mark ``source`` as an external output (through an OUTPUT node)."""
@@ -374,7 +383,7 @@ class DFG:
                         inputs=placeholder.inputs,
                         label=str(entry["label"]),
                     )
-                    graph._successor_index = None
+                    graph._invalidate()
                 if inputs:
                     pending_delays.append((name, inputs[0]))
                 continue

@@ -9,7 +9,7 @@ analyzer consumes, and the HLS cost model prices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping
+from typing import Any, Dict, Iterator, List, Mapping
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import OpType
@@ -18,7 +18,37 @@ from repro.fixedpoint.format import FixedPointFormat, OverflowMode, Quantization
 from repro.intervals.interval import Interval
 from repro.utils.mathutils import integer_bits_for_range
 
-__all__ = ["WordLengthAssignment", "ensure_range_coverage"]
+__all__ = ["WordLengthAssignment", "covering_format", "diff_formats", "ensure_range_coverage"]
+
+_MISSING = object()
+
+
+def diff_formats(new: Mapping[str, Any], old: Mapping[str, Any]) -> List[str]:
+    """Names whose format differs between two format mappings.
+
+    Names present in only one mapping count as changed.  Changed names
+    of ``new`` come first, in its order, then names only ``old`` has.
+    Assignments derived through :meth:`WordLengthAssignment.with_fractional_bits`
+    or coverage widening share their untouched :class:`FixedPointFormat`
+    objects, so each name is compared by identity first and by value
+    only when the objects differ.
+    """
+    if new is old:
+        return []
+    changed = []
+    matched = 0
+    get = old.get
+    for name, fmt in new.items():
+        prior = get(name, _MISSING)
+        if prior is _MISSING:
+            changed.append(name)
+            continue
+        matched += 1
+        if prior is not fmt and prior != fmt:
+            changed.append(name)
+    if matched != len(old):
+        changed.extend(name for name in old if name not in new)
+    return changed
 
 
 @dataclass
@@ -211,6 +241,29 @@ class WordLengthAssignment:
         )
 
 
+def covering_format(
+    fmt: FixedPointFormat,
+    interval: Interval,
+    node: str,
+    max_extra_integer_bits: int = 4,
+) -> FixedPointFormat:
+    """``fmt`` widened by whole integer bits until it covers ``interval``.
+
+    Returns ``fmt`` itself when it already covers the range; raises when
+    ``max_extra_integer_bits`` extra bits are not enough.
+    """
+    widened = fmt
+    while not (widened.min_value <= interval.lo and interval.hi <= widened.max_value):
+        if widened.integer_bits - fmt.integer_bits >= max_extra_integer_bits:
+            raise NoiseModelError(
+                f"format {fmt.describe()} of node {node!r} cannot cover its range "
+                f"[{interval.lo}, {interval.hi}] even with {max_extra_integer_bits} "
+                "extra integer bits; the error models assume a saturation-free datapath"
+            )
+        widened = widened.with_integer_bits(widened.integer_bits + 1)
+    return widened
+
+
 def ensure_range_coverage(
     assignment: WordLengthAssignment,
     ranges: Mapping[str, Interval],
@@ -232,15 +285,7 @@ def ensure_range_coverage(
         interval = ranges.get(node)
         if interval is None:
             continue
-        widened = fmt
-        while not (widened.min_value <= interval.lo and interval.hi <= widened.max_value):
-            if widened.integer_bits - fmt.integer_bits >= max_extra_integer_bits:
-                raise NoiseModelError(
-                    f"format {fmt.describe()} of node {node!r} cannot cover its range "
-                    f"[{interval.lo}, {interval.hi}] even with {max_extra_integer_bits} "
-                    "extra integer bits; the error models assume a saturation-free datapath"
-                )
-            widened = widened.with_integer_bits(widened.integer_bits + 1)
+        widened = covering_format(fmt, interval, node, max_extra_integer_bits)
         if widened is not fmt:
             formats[node] = widened
             changed = True

@@ -35,14 +35,15 @@ bits anywhere can never make the design cheaper.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.dfg.graph import DFG
 from repro.dfg.node import Node, OpType
 from repro.errors import OptimizationError
 from repro.fixedpoint.format import FixedPointFormat
-from repro.noisemodel.assignment import WordLengthAssignment
+from repro.noisemodel.assignment import WordLengthAssignment, diff_formats
 
 __all__ = [
     "CostTable",
@@ -160,105 +161,246 @@ class CostBreakdown:
         }
 
 
+#: A node's area before rounding: ``shape(coef, operand widths)``.
+Shape = Callable[[float, Sequence[int]], float]
+
+
+def _linear(coef: float, widths: Sequence[int]) -> float:
+    return coef * widths[0]
+
+
+#: Per arithmetic op: the table coefficient it pays and the shape of the
+#: operand widths it pays it on.  Every arithmetic op also pays
+#: ``op_overhead + result_per_bit * (own word length)`` for rounding.
+_ARITHMETIC: Dict[OpType, Tuple[str, Shape]] = {
+    OpType.ADD: ("add_per_bit", lambda coef, w: coef * max(w)),
+    OpType.SUB: ("add_per_bit", lambda coef, w: coef * max(w)),
+    OpType.NEG: ("neg_per_bit", _linear),
+    OpType.ABS: ("abs_per_bit", _linear),
+    OpType.MUL: ("mul_per_bit_pair", lambda coef, w: coef * w[0] * w[1]),
+    # A squarer reuses the symmetric half of its partial-product array.
+    OpType.SQUARE: ("mul_per_bit_pair", lambda coef, w: coef * (w[0] * (w[0] + 1)) / 2.0),
+    OpType.DIV: ("div_per_bit_pair", lambda coef, w: coef * w[0] * w[1]),
+    OpType.SQRT: ("sqrt_per_bit_pair", lambda coef, w: coef * (w[0] * (w[0] + 1)) / 2.0),
+    OpType.EXP: ("exp_per_bit_pair", lambda coef, w: coef * w[0] * w[0]),
+    OpType.LOG: ("log_per_bit_pair", lambda coef, w: coef * w[0] * w[0]),
+    OpType.MIN: ("minmax_per_bit", lambda coef, w: coef * max(w)),
+    OpType.MAX: ("minmax_per_bit", lambda coef, w: coef * max(w)),
+    # The select contributes only its sign bit; the datapath pays per
+    # bit of the wider forwarded operand.
+    OpType.MUX: ("mux_per_bit", lambda coef, w: coef * max(w[1], w[2])),
+}
+
+
+class _PlanEntry(NamedTuple):
+    """How to price one node.
+
+    The area is ``shape(coef, widths of sources)``, plus the rounding
+    stage ``overhead + per_result_bit * width of own`` when ``own`` is set.
+    """
+
+    shape: Shape
+    coef: float
+    own: str | None  # format the node rounds into (arithmetic ops only)
+    sources: Tuple[str, ...]  # formats whose widths ``shape`` reads
+    overhead: float
+    per_result_bit: float
+    op: str  # OpType value, the per_op key
+
+    def cost(self, formats: Mapping[str, FixedPointFormat]) -> float:
+        """Area under ``formats``; raises ``KeyError`` naming a missing format."""
+        shape, coef, own, sources, overhead, per_result_bit, _op = self
+        area = shape(coef, [formats[name].word_length for name in sources])
+        if own is None:
+            return area
+        return overhead + per_result_bit * formats[own].word_length + area
+
+    def reads(self) -> Tuple[str, ...]:
+        """Every format name the price of this entry depends on."""
+        return self.sources if self.own is None else (self.own, *self.sources)
+
+
+class _PricePlan:
+    """One graph compiled against one cost table: an entry per node, in graph order.
+
+    Besides the entries it keeps the design it priced last: a copy of its
+    formats and the cost of every entry, so the next design re-prices
+    only the entries reading a format that changed.
+    """
+
+    def __init__(self, graph: DFG, table: CostTable) -> None:
+        self.table = table
+        self.mutations = graph.mutations
+        self.names = graph.names()
+        self.entries = [self._compile(graph, node, table) for node in graph]
+        self.by_name: Dict[str, _PlanEntry] = dict(zip(self.names, self.entries))
+        #: Format name -> indices of the entries whose price reads it.
+        self.readers: Dict[str, List[int]] = {}
+        for index, entry in enumerate(self.entries):
+            for name in dict.fromkeys(entry.reads()):
+                self.readers.setdefault(name, []).append(index)
+        self.formats: Dict[str, FixedPointFormat] | None = None
+        self.costs: List[float] = []
+
+    @staticmethod
+    def _compile(graph: DFG, node: Node, table: CostTable) -> _PlanEntry:
+        op = node.op
+        if op in (OpType.INPUT, OpType.OUTPUT):
+            return _PlanEntry(lambda coef, w: 0.0, 0.0, None, (), 0.0, 0.0, op.value)
+        if op is OpType.CONST:
+            # A constant stores its own word.
+            return _PlanEntry(_linear, table.const_per_bit, None, (node.name,), 0.0, 0.0, op.value)
+        if op is OpType.DELAY:
+            source = _resolve_delays(graph, node.name)
+            return _PlanEntry(_linear, table.register_per_bit, None, (source,), 0.0, 0.0, op.value)
+        spec = _ARITHMETIC.get(op)
+        if spec is None:  # pragma: no cover - every OpType is listed above
+            raise OptimizationError(f"cannot price operation {op!r}")
+        coefficient, shape = spec
+        return _PlanEntry(
+            shape,
+            getattr(table, coefficient),
+            node.name,
+            tuple(_resolve_delays(graph, operand) for operand in node.inputs),
+            table.op_overhead,
+            table.result_per_bit,
+            op.value,
+        )
+
+    def update(self, formats: Mapping[str, FixedPointFormat]) -> None:
+        """Bring :attr:`costs` up to date with ``formats`` (all or nothing)."""
+        if self.formats is None:
+            self.costs = [entry.cost(formats) for entry in self.entries]
+        else:
+            stale: Dict[int, None] = {}
+            for name in diff_formats(formats, self.formats):
+                stale.update(dict.fromkeys(self.readers.get(name, ())))
+            entries = self.entries
+            fresh = [(i, entries[i].cost(formats)) for i in stale]
+            costs = self.costs
+            for i, cost in fresh:
+                costs[i] = cost
+        self.formats = dict(formats)
+
+    def breakdown(self) -> CostBreakdown:
+        """The last priced design's breakdown, summed in graph order.
+
+        The total and each per-op sum are one left-to-right ``+=`` pass
+        over the nodes, so they never depend on which entries were
+        re-priced; free nodes are left out.
+        """
+        per_node: Dict[str, float] = {}
+        per_op: Dict[str, float] = {}
+        total = 0.0
+        for name, entry, cost in zip(self.names, self.entries, self.costs):
+            if cost == 0.0:
+                continue
+            per_node[name] = cost
+            per_op[entry.op] = per_op.get(entry.op, 0.0) + cost
+            total += cost
+        return CostBreakdown(total=total, per_node=per_node, per_op=per_op)
+
+
+def _resolve_delays(graph: DFG, name: str) -> str:
+    """The node whose word ``name`` presents to its consumers.
+
+    DELAY chains are resolved to the producing node: a register forwards
+    its source's already-quantized word, so its own nominal format is
+    irrelevant to both the noise model and the hardware.
+    """
+    seen = set()
+    while graph.node(name).op is OpType.DELAY:
+        if name in seen:
+            raise OptimizationError(f"delay cycle through {name!r}; cannot size the register")
+        seen.add(name)
+        name = graph.node(name).inputs[0]
+    return name
+
+
+def _missing_format(exc: KeyError) -> OptimizationError:
+    return OptimizationError(
+        f"node {exc.args[0]!r} has no fixed-point format to price; the cost model "
+        "needs an assignment covering every non-OUTPUT node"
+    )
+
+
 class HardwareCostModel:
     """Prices a :class:`WordLengthAssignment` on a dataflow graph.
 
     Sequential designs are priced on the *original* (rolled) graph — the
     hardware is one instance of each operator plus the delay registers,
     regardless of the unrolling horizon the error analysis uses.
+
+    Each graph is compiled once into a pricing plan (one entry per node:
+    its coefficients, its own format and its operands' formats, DELAY
+    chains resolved), rebuilt when the graph is written to.  The plan
+    also keeps the per-node costs of the design the model priced last on
+    that graph, so pricing the next design re-computes only the nodes
+    that read a changed format; the total is still summed over every
+    node in graph order, so it does not depend on what was priced before.
     """
 
     def __init__(self, table: CostTable = DEFAULT_COST_TABLE) -> None:
         self.table = table
+        self._plans: weakref.WeakKeyDictionary[DFG, _PricePlan] = weakref.WeakKeyDictionary()
+
+    def __getstate__(self) -> dict:
+        # Plans are derived data (and weakly keyed): rebuilt on demand.
+        state = dict(self.__dict__)
+        del state["_plans"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._plans = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------ #
-    def _format_of(self, assignment: WordLengthAssignment, name: str) -> FixedPointFormat:
-        fmt = assignment.formats.get(name)
-        if fmt is None:
-            raise OptimizationError(
-                f"node {name!r} has no fixed-point format to price; the cost model "
-                "needs an assignment covering every non-OUTPUT node"
-            )
-        return fmt
+    def _plan(self, graph: DFG) -> _PricePlan:
+        plan = self._plans.get(graph)
+        if plan is None or plan.mutations != graph.mutations or plan.table is not self.table:
+            plan = _PricePlan(graph, self.table)
+            self._plans[graph] = plan
+        return plan
 
-    def _operand_width(self, graph: DFG, assignment: WordLengthAssignment, name: str) -> int:
-        """Word length a node presents to its consumers.
+    def _priced(self, graph: DFG, assignment: WordLengthAssignment) -> _PricePlan:
+        plan = self._plan(graph)
+        try:
+            plan.update(assignment.formats)
+        except KeyError as exc:
+            raise _missing_format(exc) from None
+        return plan
 
-        DELAY chains are resolved to the producing node: a register
-        forwards its source's already-quantized word, so its own nominal
-        format is irrelevant to both the noise model and the hardware.
+    def _entry(self, graph: DFG, name: str) -> _PlanEntry:
+        entry = self._plan(graph).by_name.get(name)
+        if entry is None:
+            graph.node(name)  # raises NodeNotFoundError
+        return entry
+
+    def reads(self, graph: DFG, name: str) -> Tuple[str, ...]:
+        """Names of the formats :meth:`node_cost` reads to price ``name``.
+
+        An arithmetic node's own result format, then each operand's with
+        DELAY chains resolved to the producer whose word the register
+        forwards; a register reads only that producer's, a constant only
+        its own, a port nothing.
         """
-        seen = set()
-        while graph.node(name).op is OpType.DELAY:
-            if name in seen:
-                raise OptimizationError(
-                    f"delay cycle through {name!r}; cannot size the register"
-                )
-            seen.add(name)
-            name = graph.node(name).inputs[0]
-        return self._format_of(assignment, name).word_length
+        return self._entry(graph, name).reads()
 
     def node_cost(self, graph: DFG, node: Node, assignment: WordLengthAssignment) -> float:
         """Area of one node under ``assignment`` (0 for pure ports)."""
-        table = self.table
-        if node.op in (OpType.INPUT, OpType.OUTPUT):
-            return 0.0
-        if node.op is OpType.CONST:
-            return table.const_per_bit * self._format_of(assignment, node.name).word_length
-        if node.op is OpType.DELAY:
-            return table.register_per_bit * self._operand_width(graph, assignment, node.name)
-        widths = [self._operand_width(graph, assignment, operand) for operand in node.inputs]
-        rounding = (
-            table.op_overhead
-            + table.result_per_bit * self._format_of(assignment, node.name).word_length
-        )
-        if node.op in (OpType.ADD, OpType.SUB):
-            return rounding + table.add_per_bit * max(widths)
-        if node.op is OpType.NEG:
-            return rounding + table.neg_per_bit * widths[0]
-        if node.op is OpType.ABS:
-            return rounding + table.abs_per_bit * widths[0]
-        if node.op is OpType.MUL:
-            return rounding + table.mul_per_bit_pair * widths[0] * widths[1]
-        if node.op is OpType.SQUARE:
-            w = widths[0]
-            return rounding + table.mul_per_bit_pair * (w * (w + 1)) / 2.0
-        if node.op is OpType.DIV:
-            return rounding + table.div_per_bit_pair * widths[0] * widths[1]
-        if node.op is OpType.SQRT:
-            w = widths[0]
-            return rounding + table.sqrt_per_bit_pair * (w * (w + 1)) / 2.0
-        if node.op is OpType.EXP:
-            w = widths[0]
-            return rounding + table.exp_per_bit_pair * w * w
-        if node.op is OpType.LOG:
-            w = widths[0]
-            return rounding + table.log_per_bit_pair * w * w
-        if node.op in (OpType.MIN, OpType.MAX):
-            return rounding + table.minmax_per_bit * max(widths)
-        if node.op is OpType.MUX:
-            # The select contributes only its sign bit; the datapath pays
-            # per bit of the wider forwarded operand.
-            return rounding + table.mux_per_bit * max(widths[1], widths[2])
-        raise OptimizationError(f"cannot price operation {node.op!r}")  # pragma: no cover
+        entry = self._entry(graph, node.name)
+        try:
+            return entry.cost(assignment.formats)
+        except KeyError as exc:
+            raise _missing_format(exc) from None
 
     def price(self, graph: DFG, assignment: WordLengthAssignment) -> CostBreakdown:
         """Price the whole design and return the breakdown."""
-        per_node: Dict[str, float] = {}
-        per_op: Dict[str, float] = {}
-        total = 0.0
-        for node in graph:
-            cost = self.node_cost(graph, node, assignment)
-            if cost == 0.0:
-                continue
-            per_node[node.name] = cost
-            per_op[node.op.value] = per_op.get(node.op.value, 0.0) + cost
-            total += cost
-        return CostBreakdown(total=total, per_node=per_node, per_op=per_op)
+        return self._priced(graph, assignment).breakdown()
 
     def total(self, graph: DFG, assignment: WordLengthAssignment) -> float:
-        """Total area only (cheaper than :meth:`price` for inner loops)."""
-        return sum(self.node_cost(graph, node, assignment) for node in graph)
+        """Total area only: exactly ``price(graph, assignment).total``."""
+        return self._priced(graph, assignment).breakdown().total
 
     @staticmethod
     def affected_by(graph: DFG, node: str) -> list[str]:
@@ -295,10 +437,15 @@ class HardwareCostModel:
         ``total(after) - total(before)`` at a fraction of the price.
         The delta is summed in the order of ``nodes``.
         """
+        by_name = self._plan(graph).by_name
+        before_formats, after_formats = before.formats, after.formats
         delta = 0.0
-        for name in nodes:
-            node = graph.node(name)
-            delta += self.node_cost(graph, node, after) - self.node_cost(graph, node, before)
+        try:
+            for name in nodes:
+                entry = by_name.get(name) or self._entry(graph, name)
+                delta += entry.cost(after_formats) - entry.cost(before_formats)
+        except KeyError as exc:
+            raise _missing_format(exc) from None
         return delta
 
     def with_table(self, table: CostTable) -> "HardwareCostModel":

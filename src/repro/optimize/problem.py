@@ -21,7 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.config import OptimizeConfig
 from repro.dfg.graph import DFG
@@ -36,6 +36,7 @@ from repro.errors import (
     OptimizationError,
     ReproError,
 )
+from repro.fixedpoint.format import FixedPointFormat
 from repro.intervals.interval import Interval, RangeLike, coerce_interval, uniform_power
 from repro.noisemodel.analyzer import (
     ANALYSIS_METHODS,
@@ -43,7 +44,12 @@ from repro.noisemodel.analyzer import (
     DatapathNoiseAnalyzer,
     propagation_algebra,
 )
-from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
+from repro.noisemodel.assignment import (
+    WordLengthAssignment,
+    covering_format,
+    diff_formats,
+    ensure_range_coverage,
+)
 from repro.noisemodel.gains import transfer_gains
 from repro.optimize.cost import COST_TABLES, CostBreakdown, HardwareCostModel
 from repro.utils.mathutils import integer_bits_for_range
@@ -68,6 +74,15 @@ class DesignEvaluation:
     feasible: bool
     breakdown: CostBreakdown
     index: int  # analyzer-call number that produced this evaluation
+
+
+class _Candidate(NamedTuple):
+    """What :meth:`OptimizationProblem.evaluate` keeps of the last candidate."""
+
+    formats: Dict[str, FixedPointFormat]  # a copy of its formats
+    widened: Dict[str, FixedPointFormat]  # node -> format widening gave it, if changed
+    items: tuple  # per-node items of its widened key(), sorted by name
+    positions: Dict[str, int]  # node -> index in ``items``
 
 
 class OptimizationProblem:
@@ -226,6 +241,9 @@ class OptimizationProblem:
         self.mc_workers = config.mc_workers
         self._uniform_cache: Dict[int, DesignEvaluation] = {}
         self._eval_cache: Dict[tuple, DesignEvaluation] = {}
+        # The last candidate evaluate() widened; replaced whole, never
+        # mutated, so rescoped() clones may share it.
+        self._last_candidate: _Candidate | None = None
         self._incremental = None  # lazily-built IncrementalAnalyzer
         self._batched = None  # lazily-built BatchedAnalyzer
         self._gain_sq: Dict[str, float] | None = None
@@ -288,16 +306,22 @@ class OptimizationProblem:
         instead of :attr:`analyzer_calls` — annealing never re-prices a
         revisited design.  Cache misses run through a long-lived
         :class:`~repro.analysis.incremental.IncrementalAnalyzer` (unless
-        ``use_incremental=False``), which re-propagates only the
-        downstream cone of the nodes whose formats changed since the last
-        analyzed candidate; greedy single-node probes therefore cost
-        O(cone) instead of O(graph).  The cache is sound because an
-        evaluation depends only on the assignment and on problem-level
-        constants (graph, ranges, method, floor, cost model); mutate any
-        of those and the problem must be rebuilt, not reused.
+        the problem runs under ``OptimizeConfig(engine="fresh")``), which
+        re-propagates only the downstream cone of the nodes whose formats
+        changed since the last analyzed candidate; greedy single-node
+        probes therefore cost O(cone) instead of O(graph).  The cache is
+        sound because an evaluation depends only on the assignment and on
+        problem-level constants (graph, ranges, method, floor, cost
+        model); mutate any of those and the problem must be rebuilt, not
+        reused.
+
+        Widening and the key are derived from a diff against the previous
+        candidate: only the nodes whose formats changed are re-checked
+        against their ranges and re-keyed.  The result equals
+        ``ensure_range_coverage`` and its ``key()``, and is ``assignment``
+        itself when no format needs widening.
         """
-        assignment = ensure_range_coverage(assignment, self.ranges)
-        key = assignment.key()
+        assignment, key = self._widen(assignment)
         cached = self._eval_cache.get(key)
         if cached is not None:
             self.evaluate_cache_hits += 1
@@ -323,6 +347,41 @@ class OptimizationProblem:
         )
         self._eval_cache[key] = evaluation
         return evaluation
+
+    def _widen(self, assignment: WordLengthAssignment) -> Tuple[WordLengthAssignment, tuple]:
+        """Coverage-widened ``assignment`` and its :meth:`~WordLengthAssignment.key`."""
+        formats = assignment.formats
+        last = self._last_candidate
+        changed = None
+        if last is not None and len(formats) == len(last.formats):
+            changed = diff_formats(formats, last.formats)
+            widened, items, positions = last.widened, last.items, last.positions
+            if any(name not in positions for name in changed):
+                changed = None  # a different set of nodes
+        if changed is None:
+            # First candidate, or a different set of nodes: every node changed.
+            changed = list(formats)
+            widened, items = {}, (None,) * len(formats)
+            positions = {name: i for i, name in enumerate(sorted(formats))}
+        if changed:
+            widened, items = dict(widened), list(items)
+            for name in changed:
+                fmt = formats[name]
+                interval = self.ranges.get(name)
+                cover = fmt if interval is None else covering_format(fmt, interval, name)
+                if cover is fmt:
+                    widened.pop(name, None)
+                else:
+                    widened[name] = cover
+                item = (name, cover.integer_bits, cover.fractional_bits, cover.signed)
+                items[positions[name]] = item
+            items = tuple(items)
+        self._last_candidate = _Candidate(dict(formats), widened, items, positions)
+        key = (assignment.quantization.value, assignment.overflow.value, items)
+        if not widened:
+            return assignment, key
+        formats = {**formats, **widened}
+        return WordLengthAssignment(formats, assignment.quantization, assignment.overflow), key
 
     def _snr_db(self, noise_power: float) -> float:
         if noise_power <= 0.0:

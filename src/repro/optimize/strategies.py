@@ -48,11 +48,9 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.dfg.graph import DFG
-from repro.dfg.node import OpType
 from repro.errors import NoiseModelError, OptimizationError
 from repro.jobs.checkpoint import SearchCheckpoint
-from repro.noisemodel.assignment import WordLengthAssignment
+from repro.noisemodel.assignment import WordLengthAssignment, diff_formats
 from repro.optimize.problem import DesignEvaluation, OptimizationProblem
 from repro.optimize.result import IterationRecord, OptimizationResult
 
@@ -228,26 +226,6 @@ class UniformSweepOptimizer(WordLengthOptimizer):
         return evaluation, evaluation.cost, word_length
 
 
-def _price_reads(graph: DFG, name: str) -> List[str]:
-    """Nodes whose formats :meth:`HardwareCostModel.node_cost` reads for ``name``.
-
-    The node's own result format (registers and ports have none that is
-    priced) and each operand's, with DELAY chains resolved to the
-    producer whose word the register forwards.
-    """
-    node = graph.node(name)
-    if node.op in (OpType.INPUT, OpType.OUTPUT):
-        return []
-    reads = [] if node.op is OpType.DELAY else [name]
-    for operand in node.inputs:
-        seen = set()
-        while graph.node(operand).op is OpType.DELAY and operand not in seen:
-            seen.add(operand)
-            operand = graph.node(operand).inputs[0]
-        reads.append(operand)
-    return reads
-
-
 class _ShaveRanking:
     """The one-bit shaves of one greedy descent, ranked by cost saved per noise added.
 
@@ -256,7 +234,8 @@ class _ShaveRanking:
     saves over :meth:`HardwareCostModel.affected_by` of ``Y``, ``added``
     the noise :meth:`OptimizationProblem.predicted_noise_increase`
     predicts.  That score reads only a few formats: ``Y``'s own, and the
-    ones :func:`_price_reads` names for every node whose price it moves.
+    ones :meth:`HardwareCostModel.reads` names for every node whose price
+    it moves.
     A reverse index, built once, maps each format to the candidates
     reading it, so an accepted shave re-scores only the readers of the
     formats it changed (coverage widening can change more than the
@@ -289,7 +268,7 @@ class _ShaveRanking:
         for node in self._tunable:
             reads = {node: None}
             for priced in self._affected[node]:
-                reads.update(dict.fromkeys(_price_reads(graph, priced)))
+                reads.update(dict.fromkeys(cost_model.reads(graph, priced)))
             for name in reads:
                 self._readers.setdefault(name, []).append(node)
         self._version = dict.fromkeys(self._tunable, 0)
@@ -354,9 +333,7 @@ class _ShaveRanking:
 
     def accept(self, assignment: WordLengthAssignment) -> None:
         """Move to ``assignment`` and re-score the readers of every changed format."""
-        old, new = self.assignment.formats, assignment.formats
-        changed = [name for name, fmt in new.items() if old.get(name) != fmt]
-        changed += [name for name in old if name not in new]
+        changed = diff_formats(assignment.formats, self.assignment.formats)
         self.assignment = assignment
         for node in self.dependents(changed):
             if node not in self.blocked:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+import random
 from dataclasses import replace
 
 import pytest
@@ -10,7 +12,9 @@ from repro.analysis import AnalysisConfig, NoiseAnalysisPipeline
 from repro.benchmarks.circuits import get_circuit
 from repro.benchmarks.generators import generate_circuit
 from repro.config import OptimizeConfig
-from repro.errors import OptimizationError
+from repro.errors import NoiseModelError, OptimizationError
+from repro.fixedpoint.format import FixedPointFormat
+from repro.noisemodel.assignment import WordLengthAssignment, ensure_range_coverage
 from repro.optimize import (
     HardwareCostModel,
     OptimizationProblem,
@@ -95,6 +99,94 @@ class TestProblem:
                 assignment, node, fmt.fractional_bits - 1
             )
             assert delta >= 0.0
+
+
+class TestEvaluateDiff:
+    """evaluate() widens and keys each candidate from its diff to the previous one."""
+
+    def test_keys_and_widening_match_a_fresh_computation_across_a_greedy_run(self):
+        problem = make_problem("iir_biquad", method="ia")
+        calls = []
+        evaluate = problem.evaluate
+
+        def recording(assignment):
+            before = problem.analyzer_calls
+            evaluation = evaluate(assignment)
+            calls.append((assignment, evaluation, problem.analyzer_calls > before))
+            return evaluation
+
+        problem.evaluate = recording
+        result = get_optimizer("greedy").optimize(problem)
+        assert result.feasible and len(calls) > 20
+        for assignment, evaluation, analyzed in calls:
+            widened = ensure_range_coverage(assignment, problem.ranges)
+            assert evaluation.assignment.key() == widened.key()
+            if analyzed and widened is assignment:
+                assert evaluation.assignment is assignment
+        for key, evaluation in problem._eval_cache.items():
+            assert key == evaluation.assignment.key()
+        clone = problem.rescoped(FLOOR - 3.0)
+        assert clone.evaluate(result.assignment).cost == result.cost
+
+    def test_narrowed_and_uncoverable_formats_in_a_random_walk(self):
+        problem = make_problem("fir4", method="ia")
+        rng = random.Random("walk")
+        start = current = problem.uniform(12)
+        wide = [name for name in problem.tunable if start.format_of(name).integer_bits > 1]
+        assert wide
+        restored = 0
+        for step in range(120):
+            roll = rng.random()
+            name = rng.choice(wide if roll < 0.6 else problem.tunable)
+            fmt = current.format_of(name)
+            if roll < 0.25:
+                # Too few integer bits: evaluate() must widen it back.
+                new = FixedPointFormat(max(1, fmt.integer_bits - 1), fmt.fractional_bits)
+            elif roll < 0.3:
+                new = FixedPointFormat(1, 0)  # beyond what widening may add
+            elif roll < 0.6:
+                # Covers its range again: a widened node stops being widened.
+                fmt = start.format_of(name)
+                new = fmt.with_fractional_bits(fmt.fractional_bits + rng.randint(0, 2))
+                restored += current.format_of(name).integer_bits < fmt.integer_bits
+            else:
+                new = fmt.with_fractional_bits(max(0, fmt.fractional_bits + rng.choice((-1, 1))))
+            candidate = WordLengthAssignment(
+                {**current.formats, name: new}, current.quantization, current.overflow
+            )
+            try:
+                expected = ensure_range_coverage(candidate, problem.ranges)
+            except NoiseModelError:
+                with pytest.raises(NoiseModelError, match="cannot cover"):
+                    problem.evaluate(candidate)
+                continue
+            evaluation = problem.evaluate(candidate)
+            assert evaluation.assignment.key() == expected.key(), step
+            assert evaluation.assignment.formats == expected.formats
+            assert evaluation.cost == problem.cost_model.price(problem.graph, expected).total
+            current = candidate  # keep walking from the (possibly narrowed) input
+        assert restored > 5
+
+    def test_in_place_writes_to_an_evaluated_assignment_are_seen(self):
+        problem = make_problem("fir4", method="ia")
+        assignment = problem.uniform(12)
+        first_key = problem.evaluate(assignment).assignment.key()
+        name = problem.tunable[0]
+        fmt = assignment.formats[name]
+        assignment.formats[name] = fmt.with_fractional_bits(fmt.fractional_bits - 2)
+        second = problem.evaluate(assignment)
+        assert second.assignment.key() == assignment.key() != first_key
+        assert second.cost == HardwareCostModel().price(problem.graph, assignment).total
+
+    def test_problem_pickles_after_evaluate(self):
+        problem = make_problem("fir4", method="ia")
+        result = get_optimizer("greedy").optimize(problem)
+        restored = pickle.loads(pickle.dumps(problem))
+        again = restored.evaluate(result.assignment)
+        assert again.cost == result.cost
+        assert again.snr_db == result.snr_db
+        shaved = result.assignment.with_fractional_bits(problem.tunable[0], 0)
+        assert restored.evaluate(shaved).cost == problem.evaluate(shaved).cost
 
 
 class TestUniformSweep:
